@@ -33,6 +33,27 @@ def sign_expectation(mass: np.ndarray, center: int) -> float:
     return pos - neg
 
 
+def step(mass: np.ndarray, games_played: int, w, d, l) -> np.ndarray:
+    """The centred score distribution ``mass`` one game later, as a new array.
+
+    After t = ``games_played`` games only the band [-t, t] holds mass, so only
+    it is read and only [-t-1, t+1] is written; the cells skipped would add
+    exact zeros. Coefficients are scalars or arrays over the band [-t, t].
+    """
+    width = len(mass)
+    c, t = width // 2, games_played
+    src = mass[c - t : c + t + 1]
+    out = np.zeros(width)
+    # (win flow + loss flow) + stay flow: this association keeps the
+    # distribution bitwise symmetric for fair styles
+    out[c - t + 1 : c + t + 2] = w * src
+    below = out[c - t - 1 : c + t]
+    below += l * src
+    level = out[c - t : c + t + 1]
+    level += d * src
+    return out
+
+
 def _log_factorials(n: int) -> np.ndarray:
     return gammaln(np.arange(n + 1) + 1.0)
 
@@ -95,19 +116,17 @@ def fixed_style_gain(style: StyleDistribution, n_games: int) -> float:
 
 
 def _convolve_steps(style: StyleDistribution, n_games: int, record_gains: bool):
-    w, d, l = style.win, style.draw, style.loss
     n = n_games
-    buf = np.zeros(2 * n + 3)
-    c = n + 1
-    buf[c] = 1.0
+    mass = np.zeros(2 * n + 1)
+    mass[n] = 1.0
     gains = np.zeros(n) if record_gains else None
-    for step in range(n):
-        # (win flow + loss flow) + stay flow: this association keeps the
-        # distribution bitwise symmetric for fair styles
-        buf[1:-1] = (w * buf[:-2] + l * buf[2:]) + d * buf[1:-1]
+    for played in range(n):
+        mass = step(mass, played, style.win, style.draw, style.loss)
         if record_gains:
-            gains[step] = sign_expectation(buf[1:-1], n)
-    return buf[1:-1].copy(), gains
+            # the full width is summed on purpose: a band-only sum changes the
+            # pairwise summation order and with it the last bits
+            gains[played] = sign_expectation(mass, n)
+    return mass, gains
 
 
 def score_distribution(style: StyleDistribution, n_games: int) -> np.ndarray:

@@ -141,19 +141,3 @@ class MatchSpec:
 def classify(spec: MatchSpec) -> Classification:
     """Return the cached classification of ``spec``."""
     return spec.classification
-
-
-@dataclass(frozen=True)
-class MatchState:
-    """Score after a given number of games; the score cannot outrun the games played."""
-
-    games_played: int
-    score: int
-
-    def __post_init__(self) -> None:
-        if self.games_played < 0:
-            raise ValueError(f"games_played must be >= 0, got {self.games_played}")
-        if abs(self.score) > self.games_played:
-            raise ValueError(
-                f"|score| = {abs(self.score)} exceeds games played = {self.games_played}"
-            )

@@ -218,12 +218,12 @@ def gain_curve(
 
     Labels: "optimal" (one backward sweep serves all horizons), "cat" and
     "catplus" (exact forward evaluation of the protect-the-lead policies),
-    "off" and "def" (fixed styles via convolution). Value-only memory, so the
-    default budget is 100,000 stages.
+    "off" and "def" (fixed styles via convolution); a bare string is one
+    label. Value-only memory, so the default budget is 100,000 stages.
     """
     n = require_horizon(n_max)
     _check_budget(n, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
-    labels = list(dict.fromkeys(policies))
+    labels = list(dict.fromkeys([policies] if isinstance(policies, str) else policies))
     unknown = [label for label in labels if label not in POLICY_LABELS]
     if unknown:
         raise ValueError(f"unknown policy labels {unknown}; choose from {POLICY_LABELS}")

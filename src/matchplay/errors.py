@@ -43,6 +43,6 @@ def require_horizon(n_games) -> int:
         n = int(n_games)
     except (TypeError, ValueError):
         raise InvalidHorizon(f"match length must be a positive integer, got {n_games!r}") from None
-    if n != n_games or n < 1:
+    if isinstance(n_games, bool) or n != n_games or n < 1:
         raise InvalidHorizon(f"match length must be a positive integer, got {n_games!r}")
     return n

@@ -5,10 +5,17 @@ style. The flag is the only history the benchmark policies need: the
 protect-the-lead rule attacks until it first leads and then sits on the lead,
 so its state is exactly "have I led yet".
 
+A policy's single primitive is ``decide_row``, the offense mask over a row
+of scores; the scalar ``decide`` is derived from it.
+
 Evaluation is exact: the joint distribution of (score, led yet) is propagated
-forward one game at a time, which costs O(N^2) and no sampling error. A
-separate brute-force oracle enumerates every stage-and-score policy with
-integer arithmetic for tiny horizons and anchors the solver tests.
+forward one game at a time, which costs O(N^2) and no sampling error. Every
+exact forward pass, here and in ``analytic``'s fixed-style convolution, runs
+through one banded stencil, ``analytic.step``, which touches only the
+reachable scores. The trinomial sum in ``analytic`` shares no code with it and
+serves as the independent check. A separate brute-force oracle enumerates
+every stage-and-score policy with integer arithmetic for tiny horizons and
+anchors the solver tests.
 """
 
 from __future__ import annotations
@@ -45,16 +52,13 @@ class Policy:
 
     uses_lead_flag: bool = True
 
-    def decide(self, games_remaining: int, score: int, has_led: bool) -> Action:
+    def decide_row(self, games_remaining: int, scores: np.ndarray, has_led: bool) -> np.ndarray:
+        """Offense mask over a whole row of scores."""
         raise NotImplementedError
 
-    def decide_row(self, games_remaining: int, scores: np.ndarray, has_led: bool) -> np.ndarray:
-        """Offense mask over a whole row of scores; override for speed."""
-        return np.fromiter(
-            (self.decide(games_remaining, int(x), has_led) is Action.OFF for x in scores),
-            dtype=bool,
-            count=len(scores),
-        )
+    def decide(self, games_remaining: int, score: int, has_led: bool) -> Action:
+        offense = self.decide_row(games_remaining, np.array([score]), has_led)[0]
+        return Action.OFF if offense else Action.DEF
 
     def __call__(self, games_remaining: int, score: int, has_led: bool = False) -> Action:
         return self.decide(games_remaining, score, has_led)
@@ -79,9 +83,6 @@ class FixedPolicy(Policy):
     def __init__(self, action):
         self.action = _coerce_action(action)
 
-    def decide(self, games_remaining, score, has_led):
-        return self.action
-
     def decide_row(self, games_remaining, scores, has_led):
         return np.full(np.shape(scores), self.action is Action.OFF)
 
@@ -91,9 +92,6 @@ class FixedPolicy(Policy):
 
 class CatPolicy(Policy):
     """Attack until the score first becomes positive, then defend forever."""
-
-    def decide(self, games_remaining, score, has_led):
-        return Action.DEF if has_led else Action.OFF
 
     def decide_row(self, games_remaining, scores, has_led):
         return np.full(np.shape(scores), not has_led)
@@ -113,11 +111,6 @@ class CatPlusPolicy(Policy):
     def __init__(self, final_offense: bool):
         self.final_offense = bool(final_offense)
 
-    def decide(self, games_remaining, score, has_led):
-        if games_remaining == 1 and score == 0:
-            return Action.OFF if self.final_offense else Action.DEF
-        return Action.DEF if has_led else Action.OFF
-
     def decide_row(self, games_remaining, scores, has_led):
         mask = np.full(np.shape(scores), not has_led)
         if games_remaining == 1:
@@ -136,19 +129,18 @@ class TablePolicy(Policy):
     def __init__(self, table: dp.PolicyTable):
         self.table = table
 
-    def decide(self, games_remaining, score, has_led):
-        return self.table.action(games_remaining, score)
-
     def decide_row(self, games_remaining, scores, has_led):
         k = int(games_remaining)
-        if not 1 <= k <= self.table.horizon:
-            raise ValueError(f"stage must lie in [1, {self.table.horizon}], got {games_remaining}")
-        band = min(k, self.table.horizon - k)
-        row = self.table.rows[k - 1]
+        horizon = self.table.horizon
+        if not 1 <= k <= horizon:
+            raise ValueError(f"stage must lie in [1, {horizon}], got {games_remaining}")
         scores = np.asarray(scores)
-        inside = np.abs(scores) <= band
-        idx = np.clip(scores + band, 0, 2 * band)
-        return inside & (row[idx] != 0)
+        magnitude = np.abs(scores)
+        if magnitude.max(initial=0) > horizon:
+            raise ValueError(f"|score| must not exceed {horizon}, got {magnitude.max()}")
+        band = min(k, horizon - k)
+        row = self.table.rows[k - 1]
+        return (magnitude <= band) & (row.take(scores + band, mode="clip") != 0)
 
     def __repr__(self):
         return f"TablePolicy(horizon={self.table.horizon})"
@@ -162,6 +154,13 @@ class _FunctionPolicy(Policy):
 
     def decide(self, games_remaining, score, has_led):
         return _coerce_action(self.fn(games_remaining, score, has_led))
+
+    def decide_row(self, games_remaining, scores, has_led):
+        return np.fromiter(
+            (self.decide(games_remaining, int(x), has_led) is Action.OFF for x in scores),
+            dtype=bool,
+            count=len(scores),
+        )
 
 
 def fixed_policy(action) -> FixedPolicy:
@@ -197,30 +196,52 @@ def as_policy(policy) -> Policy:
     raise TypeError(f"cannot interpret {policy!r} as a policy")
 
 
-def _style_arrays(spec: MatchSpec) -> tuple[tuple, tuple]:
-    off = (spec.offense.win, spec.offense.draw, spec.offense.loss)
-    dfn = (spec.defense.win, spec.defense.draw, spec.defense.loss)
-    return off, dfn
+def _walk(spec: MatchSpec, policy: Policy, n: int, flagged: bool):
+    """Yield the mass layers after 0..n games of an ``n``-game match.
+
+    With ``flagged`` the layers are (never led, has led); otherwise a single
+    layer carries all the mass. Layers have width 2n + 1 and are centred at n.
+    """
+    scores = np.arange(-n, n + 1)
+    layers = [np.zeros(2 * n + 1) for _ in range(1 + flagged)]
+    layers[0][n] = 1.0
+    yield layers
+    for played in range(n):
+        band = scores[n - played : n + played + 1]
+        layers = _play(spec, policy, n - played, layers, band)
+        if flagged:
+            # a never-led path can only reach +1 from 0, so one cell moves layers
+            not_led, led = layers
+            led[n + 1] += not_led[n + 1]
+            not_led[n + 1] = 0.0
+        yield layers
 
 
-def _step_layer(mass: np.ndarray, off_mask: np.ndarray, off: tuple, dfn: tuple) -> np.ndarray:
-    """Advance a score distribution one game, each cell playing its chosen style."""
-    w = np.where(off_mask, off[0], dfn[0])
-    d = np.where(off_mask, off[1], dfn[1])
-    l = np.where(off_mask, off[2], dfn[2])
-    core = np.zeros_like(mass)
-    core[1:] = w[:-1] * mass[:-1]
-    core[:-1] += l[1:] * mass[1:]
-    # adding the draw term last keeps the update mirror-symmetric for fair
-    # styles, so symmetric distributions stay exactly symmetric in floats
-    return core + d * mass
+def _play(spec: MatchSpec, policy: Policy, remaining: int, layers, band: np.ndarray):
+    """The layers after one more game; the second layer, if any, has led.
+
+    ``band`` holds the scores [-t, t] reachable after the t games played.
+    """
+    played = len(band) // 2
+    return [
+        analytic.step(layer, played, *_coefficients(spec, policy.decide_row(remaining, band, led)))
+        for led, layer in zip((False, True), layers)
+    ]
 
 
-def _promote(not_led: np.ndarray, led: np.ndarray, center: int) -> None:
-    # a never-led path can only reach +1 from 0, so one cell moves layers
-    gained = not_led[center + 1]
-    not_led[center + 1] = 0.0
-    led[center + 1] += gained
+def _coefficients(spec: MatchSpec, offense: np.ndarray) -> tuple:
+    """Win, draw, loss coefficients of a band whose cells play ``offense``."""
+    off, dfn = spec.offense, spec.defense
+    count = np.count_nonzero(offense)
+    if count == len(offense):
+        return off.win, off.draw, off.loss
+    if count == 0:
+        return dfn.win, dfn.draw, dfn.loss
+    return (
+        np.where(offense, off.win, dfn.win),
+        np.where(offense, off.draw, dfn.draw),
+        np.where(offense, off.loss, dfn.loss),
+    )
 
 
 def exact_policy_gain(
@@ -239,25 +260,10 @@ def exact_policy_gain(
     n = require_horizon(n_games)
     dp._check_budget(n, max_horizon, dp.DEFAULT_VALUE_HORIZON_BUDGET)
     policy = as_policy(policy)
-    off, dfn = _style_arrays(spec)
-    center = n
-    scores = np.arange(-n, n + 1)
-    if not policy.uses_lead_flag:
-        mass = np.zeros(2 * n + 1)
-        mass[center] = 1.0
-        for played in range(n):
-            mask = policy.decide_row(n - played, scores, False)
-            mass = _step_layer(mass, mask, off, dfn)
-        return analytic.sign_expectation(mass, center)
-    not_led = np.zeros(2 * n + 1)
-    led = np.zeros(2 * n + 1)
-    not_led[center] = 1.0
-    for played in range(n):
-        remaining = n - played
-        not_led = _step_layer(not_led, policy.decide_row(remaining, scores, False), off, dfn)
-        led = _step_layer(led, policy.decide_row(remaining, scores, True), off, dfn)
-        _promote(not_led, led, center)
-    return analytic.sign_expectation(not_led + led, center)
+    for layers in _walk(spec, policy, n, policy.uses_lead_flag):
+        pass
+    mass = layers[0] + layers[1] if policy.uses_lead_flag else layers[0]
+    return analytic.sign_expectation(mass, n)
 
 
 @dataclass(frozen=True)
@@ -307,20 +313,7 @@ def propagate_policy(
     """
     n = require_horizon(n_games)
     dp._check_budget(n, max_horizon, DEFAULT_PROPAGATE_HORIZON_BUDGET)
-    policy = as_policy(policy)
-    off, dfn = _style_arrays(spec)
-    center = n
-    scores = np.arange(-n, n + 1)
-    stage = np.zeros((2, 2 * n + 1))
-    stage[0, center] = 1.0
-    stages = [stage]
-    for played in range(n):
-        remaining = n - played
-        not_led = _step_layer(stage[0], policy.decide_row(remaining, scores, False), off, dfn)
-        led = _step_layer(stage[1], policy.decide_row(remaining, scores, True), off, dfn)
-        _promote(not_led, led, center)
-        stage = np.stack([not_led, led])
-        stages.append(stage)
+    stages = [np.stack(layers) for layers in _walk(spec, as_policy(policy), n, True)]
     return AugmentedDistribution(n, stages)
 
 
@@ -341,28 +334,19 @@ def lead_policy_curves(
     n = require_horizon(n_max)
     dp._check_budget(n, max_horizon, dp.DEFAULT_VALUE_HORIZON_BUDGET)
     refined = cat_plus_policy(spec)
-    off, dfn = _style_arrays(spec)
-    center = n
     scores = np.arange(-n, n + 1)
-    not_led = np.zeros(2 * n + 1)
-    led = np.zeros(2 * n + 1)
-    not_led[center] = 1.0
     cat_gains = np.zeros(n)
     catplus_gains = np.zeros(n)
-    all_off = np.ones(2 * n + 1, dtype=bool)
-    all_def = np.zeros(2 * n + 1, dtype=bool)
-    for played in range(n):
-        horizon = played + 1
-        lo, hi = center - horizon, center + horizon
-        final_nf = _step_layer(not_led, refined.decide_row(1, scores, False), off, dfn)
-        final_led = _step_layer(led, refined.decide_row(1, scores, True), off, dfn)
-        catplus_gains[played] = analytic.sign_expectation(
-            (final_nf + final_led)[lo : hi + 1], horizon
-        )
-        not_led = _step_layer(not_led, all_off, off, dfn)
-        led = _step_layer(led, all_def, off, dfn)
-        _promote(not_led, led, center)
-        cat_gains[played] = analytic.sign_expectation((not_led + led)[lo : hi + 1], horizon)
+    for played, (not_led, led) in enumerate(_walk(spec, cat_policy(), n, True)):
+        band = slice(n - played, n + played + 1)
+        if played:
+            cat_gains[played - 1] = analytic.sign_expectation(not_led[band] + led[band], played)
+        if played < n:
+            final = _play(spec, refined, 1, (not_led, led), scores[band])
+            wide = slice(n - played - 1, n + played + 2)
+            catplus_gains[played] = analytic.sign_expectation(
+                final[0][wide] + final[1][wide], played + 1
+            )
     return cat_gains, catplus_gains
 
 

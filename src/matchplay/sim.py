@@ -105,7 +105,7 @@ def estimate_gain(
     """
     n = require_horizon(n_games)
     count = int(samples)
-    if count != samples or count < 1:
+    if isinstance(samples, bool) or count != samples or count < 1:
         raise InvalidSampleCount(f"sample count must be a positive integer, got {samples!r}")
     signs = _final_signs(spec, policy, n, count, int(seed))
     npos = int((signs > 0).sum())

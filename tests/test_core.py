@@ -12,7 +12,6 @@ from matchplay import (
     InvalidMatchSpec,
     InvalidProbability,
     MatchSpec,
-    MatchState,
     StyleDistribution,
     classify,
     dominates,
@@ -136,20 +135,6 @@ class TestClassification:
         c = make_spec(0.1, 0.0, 0.9, 0.2, 0.7, 0.1).classification
         assert c.defense_dominates_offense
         assert not c.offense_dominates_defense
-
-
-class TestMatchState:
-    def test_valid(self):
-        s = MatchState(3, -2)
-        assert s.games_played == 3 and s.score == -2
-
-    def test_score_cannot_outrun_games(self):
-        with pytest.raises(ValueError):
-            MatchState(2, 3)
-
-    def test_negative_games_rejected(self):
-        with pytest.raises(ValueError):
-            MatchState(-1, 0)
 
 
 def test_action_values():

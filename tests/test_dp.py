@@ -161,6 +161,10 @@ class TestGainCurve:
         curve = gain_curve(chess, 4, ("cat", "cat", "optimal"))
         assert sorted(curve.gains) == ["cat", "optimal"]
 
+    def test_bare_label_is_one_label(self, chess):
+        curve = gain_curve(chess, 3, "optimal")
+        assert list(curve.gains) == ["optimal"]
+
     def test_unknown_label_rejected(self, chess):
         with pytest.raises(ValueError):
             gain_curve(chess, 4, ("optimal", "greedy"))
@@ -226,7 +230,7 @@ class TestBudgetsAndValidation:
         assert solve(chess, 50, max_horizon=50).gain == solve(chess, 50).gain
 
     def test_bad_horizons_rejected(self, chess):
-        for bad in (0, -3, 2.5, "six", None):
+        for bad in (0, -3, 2.5, "six", None, True):
             with pytest.raises(InvalidHorizon):
                 solve(chess, bad)
         with pytest.raises(InvalidHorizon):

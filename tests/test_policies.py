@@ -126,6 +126,10 @@ class TestAsPolicy:
     def test_table(self, chess):
         assert as_policy(solve(chess, 3).policy).decide(2, 0, False) in (Action.OFF, Action.DEF)
 
+    def test_table_rejects_scores_beyond_the_horizon(self, chess):
+        with pytest.raises(ValueError):
+            table_policy(solve(chess, 3).policy).decide(2, 9, False)
+
     def test_callable(self):
         policy = as_policy(lambda k, x, led: Action.OFF if x < 0 else Action.DEF)
         assert policy.decide(4, -1, False) is Action.OFF

@@ -69,7 +69,7 @@ class TestEstimateGain:
         assert math.isnan(est.std_error)
 
     def test_sample_count_validated(self, chess):
-        for bad in (0, -10, 2.5):
+        for bad in (0, -10, 2.5, True):
             with pytest.raises(InvalidSampleCount):
                 estimate_gain(chess, "off", 2, bad)
 
