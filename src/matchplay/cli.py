@@ -19,15 +19,7 @@ from pathlib import Path
 
 from . import analytic, dp, policies, sim, verify
 from .core import MatchSpec
-from .errors import (
-    HorizonTooLarge,
-    InvalidHorizon,
-    InvalidMatchSpec,
-    InvalidOracleInput,
-    InvalidProbability,
-    InvalidSampleCount,
-    RegimeNotCovered,
-)
+from .errors import HorizonTooLarge, MatchPlayError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -241,20 +233,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (
-        InvalidProbability,
-        InvalidMatchSpec,
-        InvalidHorizon,
-        InvalidSampleCount,
-        InvalidOracleInput,
-        RegimeNotCovered,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except HorizonTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (MatchPlayError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

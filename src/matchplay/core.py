@@ -10,6 +10,7 @@ rounding noise rather than intent.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -36,7 +37,8 @@ class StyleDistribution:
     def __post_init__(self) -> None:
         for name in ("win", "draw", "loss"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            # numbers.Real covers numpy scalars too; np.bool_ is not registered there
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise InvalidProbability(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise InvalidProbability(f"{name} must be finite, got {value!r}")

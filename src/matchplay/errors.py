@@ -37,6 +37,10 @@ class InvalidSampleCount(MatchPlayError):
     """Monte Carlo sample count must be a positive integer."""
 
 
+class InvalidSeed(MatchPlayError):
+    """Monte Carlo seed must be an integer in [0, 2**128), the Philox key range."""
+
+
 def require_horizon(n_games) -> int:
     """Validate a match length and return it as a plain int."""
     try:

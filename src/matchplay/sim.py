@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Action, MatchSpec
-from .errors import InvalidSampleCount, require_horizon
+from .errors import InvalidSampleCount, InvalidSeed, require_horizon
 from .policies import as_policy
 
 
@@ -52,6 +52,17 @@ def simulate_match(spec: MatchSpec, policy, n_games: int, stream=None) -> int:
             score -= 1
         has_led = has_led or score >= 1
     return (score > 0) - (score < 0)
+
+
+def _require_seed(seed) -> int:
+    """Validate a Philox key and return it as a plain int."""
+    try:
+        key = int(seed)
+    except (TypeError, ValueError, OverflowError):
+        key = None
+    if isinstance(seed, (bool, np.bool_)) or key is None or key != seed or not 0 <= key < 2**128:
+        raise InvalidSeed(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    return key
 
 
 def _round_uniforms(seed: int, round_index: int, count: int, offset: int = 0) -> np.ndarray:
@@ -100,14 +111,16 @@ def estimate_gain(
     """Monte Carlo estimate of a policy's gain from ``samples`` matches.
 
     Deterministic given (seed, samples, horizon, spec, policy); sample i's
-    outcome does not depend on how many other samples are drawn. The standard
-    error uses the unbiased sample variance and is NaN for a single sample.
+    outcome does not depend on how many other samples are drawn. ``seed`` is
+    the Philox key, an integer in [0, 2**128). The standard error uses the
+    unbiased sample variance and is NaN for a single sample.
     """
     n = require_horizon(n_games)
     count = int(samples)
     if isinstance(samples, bool) or count != samples or count < 1:
         raise InvalidSampleCount(f"sample count must be a positive integer, got {samples!r}")
-    signs = _final_signs(spec, policy, n, count, int(seed))
+    key = _require_seed(seed)
+    signs = _final_signs(spec, policy, n, count, key)
     npos = int((signs > 0).sum())
     nneg = int((signs < 0).sum())
     mean = (npos - nneg) / count
@@ -117,4 +130,4 @@ def estimate_gain(
         # signs are in {-1, 0, 1}, so the sum of squares is just npos + nneg
         variance = max(0.0, (npos + nneg - count * mean * mean) / (count - 1))
         std_error = math.sqrt(variance / count)
-    return SimEstimate(mean, std_error, count, int(seed))
+    return SimEstimate(mean, std_error, count, key)

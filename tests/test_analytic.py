@@ -126,6 +126,32 @@ class TestConvolutionRoute:
         for n in range(1, 13):
             assert curve[n - 1] == pytest.approx(fixed_style_gain(style, n), abs=FORMULA_TOL)
 
+    # zero win, loss or draw probabilities reach the trinomial as 0^0 = 1
+    # and 0^k = 0 for k > 0; the convolution route multiplies them plainly
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            (0.0, 0.3, 0.7),
+            (0.4, 0.6, 0.0),
+            (0.45, 0.0, 0.55),
+            (0.0, 0.0, 1.0),
+            (0.0, 1.0, 0.0),
+            (1.0, 0.0, 0.0),
+            (0.5, 0.0, 0.5),
+            (0.0, 0.5, 0.5),
+        ],
+        ids=["no_win", "no_loss", "no_draw", "sure_loss", "sure_draw", "sure_win",
+             "fair_no_draw", "no_win_even_draw"],
+    )
+    def test_degenerate_styles_agree(self, probs):
+        style = make_distribution(*probs)
+        for n in (1, 2, 3, 7, 50, 199, 200):
+            mass = score_distribution(style, n)
+            pos = float(mass[n + 1 :].sum())
+            zero = float(mass[n])
+            assert fixed_style_positive_prob(style, n) == pytest.approx(pos, abs=FORMULA_TOL)
+            assert fixed_style_draw_prob(style, n) == pytest.approx(zero, abs=FORMULA_TOL)
+
     def test_fair_style_gain_is_exactly_zero(self):
         # the convolution keeps symmetric distributions bitwise symmetric
         style = make_distribution(0.25, 0.5, 0.25)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,6 +201,29 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_negative_seed_gets_the_library_message(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", *spec_flags(CHESS_PROBS),
+            "--horizon", "2", "--samples", "10", "--seed", "-1",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: seed must be an integer in [0, 2**128), got -1\n"
+
     def test_unknown_flag_exits_two(self, capsys):
         code, _, _ = run(capsys, "classify", "--bogus", "1")
         assert code == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    # a cold call pays for every module the cli imports; scipy is not one
+    src = Path(matchplay.policies.__file__).resolve().parents[1]
+    paths = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    code = "import sys, matchplay.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from matchplay import (
@@ -57,6 +58,24 @@ class TestStyleDistribution:
             make_distribution(math.nan, 0.5, 0.5)
         with pytest.raises(InvalidProbability):
             make_distribution(math.inf, 0.0, 0.0)
+
+    def test_accepts_numpy_scalars(self):
+        d = make_distribution(np.float32(0.5), 0.25, 0.25)
+        assert (d.win, d.draw, d.loss) == (0.5, 0.25, 0.25)
+        assert type(d.win) is float
+        d = make_distribution(np.int64(1), np.int8(0), np.float64(0.0))
+        assert (d.win, d.draw, d.loss) == (1.0, 0.0, 0.0)
+        assert all(type(v) is float for v in (d.win, d.draw, d.loss))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [True, np.bool_(True), np.float32("nan"), np.float64("inf"), np.float32(1.5),
+         np.int64(-1), "0.5", None],
+        ids=["bool", "numpy_bool", "nan", "inf", "above_one", "negative", "str", "none"],
+    )
+    def test_rejects_bools_non_numbers_and_bad_numpy_scalars(self, bad):
+        with pytest.raises(InvalidProbability):
+            make_distribution(bad, 0.0, 0.0)
 
     def test_rejects_non_numbers(self):
         with pytest.raises(InvalidProbability):

@@ -9,6 +9,7 @@ import pytest
 
 from matchplay import (
     InvalidSampleCount,
+    InvalidSeed,
     cat_policy,
     estimate_gain,
     exact_policy_gain,
@@ -72,6 +73,23 @@ class TestEstimateGain:
         for bad in (0, -10, 2.5, True):
             with pytest.raises(InvalidSampleCount):
                 estimate_gain(chess, "off", 2, bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [True, np.bool_(False), 1.5, -1, 2**128, math.inf, math.nan, "3", None],
+        ids=["bool", "numpy_bool", "fraction", "negative", "2**128", "inf", "nan", "str", "none"],
+    )
+    def test_seed_validated(self, chess, bad):
+        with pytest.raises(InvalidSeed):
+            estimate_gain(chess, "off", 2, 10, seed=bad)
+
+    def test_seed_range_ends_and_numpy_integers_accepted(self, chess):
+        for seed in (0, 2**128 - 1, np.int64(5), np.uint64(5)):
+            est = estimate_gain(chess, "off", 2, 10, seed=seed)
+            assert est.seed == seed and type(est.seed) is int
+        assert estimate_gain(chess, "off", 2, 10, seed=np.int64(5)) == estimate_gain(
+            chess, "off", 2, 10, seed=5
+        )
 
     def test_degenerate_policy_has_zero_error(self):
         spec = make_spec(0.3, 0.0, 0.7, 0.0, 1.0, 0.0)
