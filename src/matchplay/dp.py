@@ -28,7 +28,7 @@ import numpy as np
 
 from . import analytic
 from .core import Action, MatchSpec
-from .errors import HorizonTooLarge, require_horizon
+from .errors import InvalidState, require_horizon
 
 DEFAULT_VALUE_HORIZON_BUDGET = 100_000
 DEFAULT_TABLE_HORIZON_BUDGET = 20_000
@@ -48,15 +48,15 @@ def _bellman_sweep(
     n_max: int,
     *,
     prune: bool = True,
-    want_values: bool = False,
-    want_policy: bool = False,
+    tables: bool = False,
 ) -> _Sweep:
     """Backward recursion for ``n_max`` stages over a sign-initialized buffer.
 
     Cells outside the written band always hold sign(score), which is the exact
     value of every decided state. The unpruned mode evaluates the Bellman
     operator on the full reachable triangle but retains only the undecided
-    band, so both modes produce bit-identical tables.
+    band, so both modes produce bit-identical tables. With ``tables`` the
+    sweep also keeps every stage's value and policy row.
     """
     pw, pd, pl = spec.offense.win, spec.offense.draw, spec.offense.loss
     qw, qd, ql = spec.defense.win, spec.defense.draw, spec.defense.loss
@@ -64,8 +64,8 @@ def _bellman_sweep(
     xs = np.arange(-center, center + 1)
     buf = np.sign(xs).astype(np.float64)  # U_0 plus one guard cell per side
     gains = np.zeros(n_max + 1)
-    value_rows = [np.zeros(1)] if want_values else None
-    policy_rows = [] if want_policy else None
+    value_rows = [np.zeros(1)] if tables else None
+    policy_rows = [] if tables else None
     evaluations = 0
     for k in range(1, n_max + 1):
         keep = min(k, n_max - k)  # undecided scores the match can reach
@@ -85,22 +85,28 @@ def _bellman_sweep(
         np.clip(best, -1.0, 1.0, out=best)
         s = band - keep
         segment = slice(s, s + 2 * keep + 1)
-        if want_policy:
-            policy_rows.append((off_val[segment] > def_val[segment]).astype(np.uint8))
         kept = best[segment]
-        if want_values:
+        if tables:
+            policy_rows.append((off_val[segment] > def_val[segment]).astype(np.uint8))
             value_rows.append(kept.copy())
         buf[center - keep : center + keep + 1] = kept
         gains[k] = buf[center]
     return _Sweep(gains, value_rows, policy_rows, evaluations)
 
 
-def _sign_value(score: int) -> float:
-    if score > 0:
-        return 1.0
-    if score < 0:
-        return -1.0
-    return 0.0
+def _band(horizon: int, games_remaining: int, largest: int, first_stage: int) -> int:
+    """Half-width of the stored band at a stage whose largest |score| is ``largest``.
+
+    Raises ``InvalidState`` unless the stage lies in [first_stage, horizon]
+    and ``largest`` does not exceed the horizon.
+    """
+    if not first_stage <= games_remaining <= horizon:
+        raise InvalidState(f"stage must lie in [{first_stage}, {horizon}], got {games_remaining}")
+    if largest > horizon:
+        raise InvalidState(f"|score| must not exceed {horizon}, got {largest}")
+    # not min(): the builtin call would cost as much as the rest of a lookup
+    rest = horizon - games_remaining
+    return games_remaining if games_remaining < rest else rest
 
 
 @dataclass(frozen=True)
@@ -119,13 +125,9 @@ class ValueTable:
 
     def value(self, games_remaining: int, score: int) -> float:
         k, x = int(games_remaining), int(score)
-        if not 0 <= k <= self.horizon:
-            raise ValueError(f"stage must lie in [0, {self.horizon}], got {games_remaining}")
-        if abs(x) > self.horizon:
-            raise ValueError(f"|score| must not exceed {self.horizon}, got {score}")
-        band = min(k, self.horizon - k)
+        band = _band(self.horizon, k, abs(x), 0)
         if abs(x) > band:
-            return _sign_value(x)
+            return float((x > 0) - (x < 0))
         return float(self.rows[k][x + band])
 
     @property
@@ -147,14 +149,16 @@ class PolicyTable:
 
     def action(self, games_remaining: int, score: int) -> Action:
         k, x = int(games_remaining), int(score)
-        if not 1 <= k <= self.horizon:
-            raise ValueError(f"stage must lie in [1, {self.horizon}], got {games_remaining}")
-        if abs(x) > self.horizon:
-            raise ValueError(f"|score| must not exceed {self.horizon}, got {score}")
-        band = min(k, self.horizon - k)
-        if abs(x) > band:
-            return Action.DEF
-        return Action.OFF if self.rows[k - 1][x + band] else Action.DEF
+        band = _band(self.horizon, k, abs(x), 1)
+        return Action.OFF if abs(x) <= band and self.rows[k - 1][x + band] else Action.DEF
+
+    def offense_mask(self, games_remaining: int, scores: np.ndarray) -> np.ndarray:
+        """Vectorised ``action(...) is Action.OFF`` over an array of scores."""
+        k = int(games_remaining)
+        scores = np.asarray(scores)
+        magnitude = np.abs(scores)
+        band = _band(self.horizon, k, int(magnitude.max(initial=0)), 1)
+        return (magnitude <= band) & (self.rows[k - 1].take(scores + band, mode="clip") != 0)
 
 
 class SolveResult(NamedTuple):
@@ -179,12 +183,6 @@ class GainCurve:
         return list(zip(self.horizons.tolist(), (float(g) for g in self.gains[label])))
 
 
-def _check_budget(n: int, max_horizon: int | None, default: int) -> None:
-    budget = default if max_horizon is None else int(max_horizon)
-    if n > budget:
-        raise HorizonTooLarge(f"horizon {n} exceeds the configured budget of {budget} stages")
-
-
 def solve(
     spec: MatchSpec,
     n_games: int,
@@ -198,9 +196,8 @@ def solve(
     Storing both tables costs O(N^2) memory, so the default budget is
     20,000 stages; raise ``max_horizon`` knowingly.
     """
-    n = require_horizon(n_games)
-    _check_budget(n, max_horizon, DEFAULT_TABLE_HORIZON_BUDGET)
-    sweep = _bellman_sweep(spec, n, prune=prune, want_values=True, want_policy=True)
+    n = require_horizon(n_games, max_horizon, DEFAULT_TABLE_HORIZON_BUDGET)
+    sweep = _bellman_sweep(spec, n, prune=prune, tables=True)
     values = ValueTable(n, sweep.evaluations, sweep.value_rows)
     policy = PolicyTable(n, sweep.policy_rows)
     return SolveResult(values, policy, float(sweep.gains[n]))
@@ -221,8 +218,7 @@ def gain_curve(
     "off" and "def" (fixed styles via convolution); a bare string is one
     label. Value-only memory, so the default budget is 100,000 stages.
     """
-    n = require_horizon(n_max)
-    _check_budget(n, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_max, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
     labels = list(dict.fromkeys([policies] if isinstance(policies, str) else policies))
     unknown = [label for label in labels if label not in POLICY_LABELS]
     if unknown:
@@ -254,8 +250,7 @@ def find_optimal_horizon(
     max_horizon: int | None = None,
 ) -> HorizonResult:
     """Horizon in 1..n_max with the largest optimal gain, smallest on ties."""
-    n = require_horizon(n_max)
-    _check_budget(n, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_max, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
     gains = _bellman_sweep(spec, n, prune=prune).gains
     best_n = 1
     for k in range(2, n + 1):

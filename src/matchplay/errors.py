@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer guard behind them."""
+
+import math
+
+import numpy as np
 
 
 class MatchPlayError(Exception):
@@ -38,15 +42,41 @@ class InvalidSampleCount(MatchPlayError):
 
 
 class InvalidSeed(MatchPlayError):
-    """Monte Carlo seed must be an integer in [0, 2**128), the Philox key range."""
+    """A seed must be a non-negative integer; Monte Carlo keys also stay below 2**128."""
 
 
-def require_horizon(n_games) -> int:
-    """Validate a match length and return it as a plain int."""
+class InvalidState(MatchPlayError, ValueError):
+    """A stage or score lies off the lattice a solved table covers."""
+
+
+def require_integer(value, error: type[MatchPlayError], rule: str, low=1, high=math.inf) -> int:
+    """Return ``value`` as a plain int in [low, high), or raise ``error``.
+
+    Integral floats and numpy integers pass; bools (Python or numpy), strings,
+    non-finite and non-integral values do not. ``rule`` opens the message.
+    """
     try:
-        n = int(n_games)
-    except (TypeError, ValueError):
-        raise InvalidHorizon(f"match length must be a positive integer, got {n_games!r}") from None
-    if isinstance(n_games, bool) or n != n_games or n < 1:
-        raise InvalidHorizon(f"match length must be a positive integer, got {n_games!r}")
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{rule}, got {value!r}") from None
+    if isinstance(value, (bool, np.bool_)) or n != value or not low <= n < high:
+        raise error(f"{rule}, got {value!r}")
     return n
+
+
+def require_horizon(n_games, max_horizon=None, budget=None) -> int:
+    """Validate a match length and return it as a plain int.
+
+    With a ``budget`` the length must also fit in ``max_horizon`` stages, or
+    in ``budget`` stages when ``max_horizon`` is None.
+    """
+    n = require_integer(n_games, InvalidHorizon, "match length must be a positive integer")
+    limit = budget if max_horizon is None else int(max_horizon)
+    if limit is not None and n > limit:
+        raise HorizonTooLarge(f"horizon {n} exceeds the configured budget of {limit} stages")
+    return n
+
+
+def require_seed(seed) -> int:
+    """Validate a seed for ``numpy.random.default_rng`` and return it as a plain int."""
+    return require_integer(seed, InvalidSeed, "seed must be a non-negative integer", low=0)

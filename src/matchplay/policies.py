@@ -130,17 +130,7 @@ class TablePolicy(Policy):
         self.table = table
 
     def decide_row(self, games_remaining, scores, has_led):
-        k = int(games_remaining)
-        horizon = self.table.horizon
-        if not 1 <= k <= horizon:
-            raise ValueError(f"stage must lie in [1, {horizon}], got {games_remaining}")
-        scores = np.asarray(scores)
-        magnitude = np.abs(scores)
-        if magnitude.max(initial=0) > horizon:
-            raise ValueError(f"|score| must not exceed {horizon}, got {magnitude.max()}")
-        band = min(k, horizon - k)
-        row = self.table.rows[k - 1]
-        return (magnitude <= band) & (row.take(scores + band, mode="clip") != 0)
+        return self.table.offense_mask(games_remaining, scores)
 
     def __repr__(self):
         return f"TablePolicy(horizon={self.table.horizon})"
@@ -257,8 +247,7 @@ def exact_policy_gain(
     condition on having led carry a two-layer distribution (never led / has
     led); flag-blind policies use a single layer.
     """
-    n = require_horizon(n_games)
-    dp._check_budget(n, max_horizon, dp.DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_games, max_horizon, dp.DEFAULT_VALUE_HORIZON_BUDGET)
     policy = as_policy(policy)
     for layers in _walk(spec, policy, n, policy.uses_lead_flag):
         pass
@@ -311,8 +300,7 @@ def propagate_policy(
     Keeps all intermediate stages, so memory is quadratic in the horizon and
     the default budget is 2,000 stages.
     """
-    n = require_horizon(n_games)
-    dp._check_budget(n, max_horizon, DEFAULT_PROPAGATE_HORIZON_BUDGET)
+    n = require_horizon(n_games, max_horizon, DEFAULT_PROPAGATE_HORIZON_BUDGET)
     stages = [np.stack(layers) for layers in _walk(spec, as_policy(policy), n, True)]
     return AugmentedDistribution(n, stages)
 
@@ -331,8 +319,7 @@ def lead_policy_curves(
     mass of the same pass. Gains are computed over the reachable score band,
     which makes them bit-identical to evaluating each horizon separately.
     """
-    n = require_horizon(n_max)
-    dp._check_budget(n, max_horizon, dp.DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_max, max_horizon, dp.DEFAULT_VALUE_HORIZON_BUDGET)
     refined = cat_plus_policy(spec)
     scores = np.arange(-n, n + 1)
     cat_gains = np.zeros(n)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Action, MatchSpec
-from .errors import InvalidSampleCount, InvalidSeed, require_horizon
+from .errors import InvalidSampleCount, InvalidSeed, require_horizon, require_integer, require_seed
 from .policies import as_policy
 
 
@@ -32,11 +32,15 @@ class SimEstimate(NamedTuple):
 def simulate_match(spec: MatchSpec, policy, n_games: int, stream=None) -> int:
     """Play one match and return the sign of the final score.
 
-    ``stream`` may be a numpy Generator, a seed, or None for fresh entropy.
+    ``stream`` may be a numpy Generator, a non-negative integer seed, or None
+    for fresh entropy.
     """
     n = require_horizon(n_games)
     policy = as_policy(policy)
-    rng = stream if isinstance(stream, np.random.Generator) else np.random.default_rng(stream)
+    if isinstance(stream, np.random.Generator):
+        rng = stream
+    else:
+        rng = np.random.default_rng(None if stream is None else require_seed(stream))
     offense, defense = spec.offense, spec.defense
     score = 0
     has_led = False
@@ -52,17 +56,6 @@ def simulate_match(spec: MatchSpec, policy, n_games: int, stream=None) -> int:
             score -= 1
         has_led = has_led or score >= 1
     return (score > 0) - (score < 0)
-
-
-def _require_seed(seed) -> int:
-    """Validate a Philox key and return it as a plain int."""
-    try:
-        key = int(seed)
-    except (TypeError, ValueError, OverflowError):
-        key = None
-    if isinstance(seed, (bool, np.bool_)) or key is None or key != seed or not 0 <= key < 2**128:
-        raise InvalidSeed(f"seed must be an integer in [0, 2**128), got {seed!r}")
-    return key
 
 
 def _round_uniforms(seed: int, round_index: int, count: int, offset: int = 0) -> np.ndarray:
@@ -116,10 +109,8 @@ def estimate_gain(
     unbiased sample variance and is NaN for a single sample.
     """
     n = require_horizon(n_games)
-    count = int(samples)
-    if isinstance(samples, bool) or count != samples or count < 1:
-        raise InvalidSampleCount(f"sample count must be a positive integer, got {samples!r}")
-    key = _require_seed(seed)
+    count = require_integer(samples, InvalidSampleCount, "sample count must be a positive integer")
+    key = require_integer(seed, InvalidSeed, "seed must be an integer in [0, 2**128)", 0, 2**128)
     signs = _final_signs(spec, policy, n, count, key)
     npos = int((signs > 0).sum())
     nneg = int((signs < 0).sum())

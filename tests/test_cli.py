@@ -209,6 +209,11 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: seed must be an integer in [0, 2**128), got -1\n"
 
+    def test_negative_verify_seed_gets_the_library_message(self, capsys):
+        code, out, err = run(capsys, "verify", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_unknown_flag_exits_two(self, capsys):
         code, _, _ = run(capsys, "classify", "--bogus", "1")
         assert code == 2

@@ -15,6 +15,8 @@ from matchplay import (
     GainCurve,
     HorizonTooLarge,
     InvalidHorizon,
+    InvalidState,
+    MatchPlayError,
     exact_policy_gain,
     find_optimal_horizon,
     gain_curve,
@@ -90,6 +92,20 @@ class TestValueTable:
             values.value(-1, 0)
         with pytest.raises(ValueError):
             values.value(2, 9)
+
+    def test_off_lattice_queries_raise_a_library_error(self, chess):
+        result = solve(chess, 4)
+        replay = table_policy(result.policy)
+        lookups = (
+            result.values.value,
+            result.policy.action,
+            lambda stage, score: replay.decide_row(stage, np.array([0, score]), False),
+        )
+        assert issubclass(InvalidState, MatchPlayError)
+        for lookup in lookups:
+            for stage, score in ((5, 0), (2, 9), (2, -9)):
+                with pytest.raises(InvalidState):
+                    lookup(stage, score)
 
     def test_policy_stage_range_checked(self, chess):
         policy = solve(chess, 4).policy
@@ -230,7 +246,7 @@ class TestBudgetsAndValidation:
         assert solve(chess, 50, max_horizon=50).gain == solve(chess, 50).gain
 
     def test_bad_horizons_rejected(self, chess):
-        for bad in (0, -3, 2.5, "six", None, True):
+        for bad in (0, -3, 2.5, "six", None, True, np.True_, float("inf")):
             with pytest.raises(InvalidHorizon):
                 solve(chess, bad)
         with pytest.raises(InvalidHorizon):

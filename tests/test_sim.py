@@ -38,6 +38,13 @@ class TestSimulateMatch:
         assert simulate_match(chess, "off", 3, np.random.default_rng(1)) in (-1, 0, 1)
         assert simulate_match(chess, "off", 3, None) in (-1, 0, 1)
 
+    def test_seed_validated(self, chess):
+        for bad in (-1, True, np.bool_(False), 1.5, math.inf, "3"):
+            with pytest.raises(InvalidSeed):
+                simulate_match(chess, "off", 3, bad)
+        # beyond the Philox key range that estimate_gain needs, numpy still seeds
+        assert simulate_match(chess, "off", 3, 2**200) in (-1, 0, 1)
+
     def test_sure_draw_defense_locks_the_score(self):
         spec = make_spec(0.3, 0.0, 0.7, 0.0, 1.0, 0.0)
         assert simulate_match(spec, "def", 10, 0) == 0
@@ -70,7 +77,7 @@ class TestEstimateGain:
         assert math.isnan(est.std_error)
 
     def test_sample_count_validated(self, chess):
-        for bad in (0, -10, 2.5, True):
+        for bad in (0, -10, 2.5, True, np.True_, None, "many", math.inf):
             with pytest.raises(InvalidSampleCount):
                 estimate_gain(chess, "off", 2, bad)
 

@@ -7,7 +7,7 @@ import re
 import pytest
 
 import matchplay.policies
-from matchplay import MatchSpec
+from matchplay import InvalidSeed, MatchSpec
 from matchplay.verify import (
     IDENTITY_OFFENSES,
     LEAD_FLOOR_OFFENSES,
@@ -46,6 +46,11 @@ class TestChecklist:
         a = [c.line() for c in run_checks(seed=1, draws=10)]
         b = [c.line() for c in run_checks(seed=1, draws=10)]
         assert a == b
+
+    def test_bad_seed_rejected(self):
+        for bad in (-1, True, 1.5, "1"):
+            with pytest.raises(InvalidSeed):
+                run_checks(seed=bad, draws=1)
 
 
 class TestFixtureSets:
