@@ -21,6 +21,7 @@ that evaluates the full reachable triangle and is used to count the saving.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import analytic
 from .core import Action, MatchSpec
-from .errors import InvalidState, require_horizon
+from .errors import InvalidState, require_horizon, require_integer
 
 DEFAULT_VALUE_HORIZON_BUDGET = 100_000
 DEFAULT_TABLE_HORIZON_BUDGET = 20_000
@@ -57,12 +58,25 @@ def _bellman_sweep(
     operator on the full reachable triangle but retains only the undecided
     band, so both modes produce bit-identical tables. With ``tables`` the
     sweep also keeps every stage's value and policy row.
+
+    A stage allocates nothing but the rows it keeps: both styles' expectations
+    are written into scratch rows allocated once per call, and their maximum
+    straight into the buffer. A stage at the horizons of a parameter scan
+    costs a few microseconds, most of it per-call overhead, so the loop makes
+    few numpy calls. For the same reason the clamp is two in-place ufuncs
+    (``minimum`` then ``maximum``) instead of ``np.clip``, which costs several
+    times more per call and gives the same bits on non-NaN input.
     """
-    pw, pd, pl = spec.offense.win, spec.offense.draw, spec.offense.loss
-    qw, qd, ql = spec.defense.win, spec.defense.draw, spec.defense.loss
+    # 0-d arrays, not Python floats: a ufunc converts a Python scalar anew on
+    # every call, which is a measurable share of a short stage
+    pw, pd, pl, qw, qd, ql, ceiling, floor = map(np.array, (
+        spec.offense.win, spec.offense.draw, spec.offense.loss,
+        spec.defense.win, spec.defense.draw, spec.defense.loss, 1.0, -1.0,
+    ))
     center = n_max + 1
     xs = np.arange(-center, center + 1)
     buf = np.sign(xs).astype(np.float64)  # U_0 plus one guard cell per side
+    off_row, def_row, tmp_row = np.empty((3, 2 * n_max + 1))
     gains = np.zeros(n_max + 1)
     value_rows = [np.zeros(1)] if tables else None
     policy_rows = [] if tables else None
@@ -71,27 +85,54 @@ def _bellman_sweep(
         keep = min(k, n_max - k)  # undecided scores the match can reach
         band = keep if prune else (n_max - k)
         lo, hi = center - band, center + band
+        width = hi - lo + 1
         up = buf[lo + 1 : hi + 2]
         mid = buf[lo : hi + 1]
         down = buf[lo - 1 : hi]
+        off, dfn, tmp = off_row[:width], def_row[:width], tmp_row[:width]
         # (w*up + l*down) + d*mid: this association makes the stencil exactly
         # antisymmetric for fair styles, so a fair defense floors the computed
         # gain at 0.0 instead of at rounding noise below it
-        off_val = (pw * up + pl * down) + pd * mid
-        def_val = (qw * up + ql * down) + qd * mid
-        evaluations += hi - lo + 1
-        best = np.maximum(off_val, def_val)
-        # rounding can push a convex combination a few ulp past +-1
-        np.clip(best, -1.0, 1.0, out=best)
+        np.multiply(up, pw, out=off)
+        np.multiply(down, pl, out=tmp)
+        np.add(off, tmp, out=off)
+        np.multiply(mid, pd, out=tmp)
+        np.add(off, tmp, out=off)
+        np.multiply(up, qw, out=dfn)
+        np.multiply(down, ql, out=tmp)
+        np.add(dfn, tmp, out=dfn)
+        np.multiply(mid, qd, out=tmp)
+        np.add(dfn, tmp, out=dfn)
+        evaluations += width
+        # the new values overwrite the old ones in place: every product that
+        # reads them has been taken
+        kept = mid
         s = band - keep
-        segment = slice(s, s + 2 * keep + 1)
-        kept = best[segment]
+        if s:  # unpruned: keep only the undecided segment of the band
+            segment = slice(s, s + 2 * keep + 1)
+            off, dfn, kept = off[segment], dfn[segment], mid[segment]
+        np.maximum(off, dfn, out=kept)
+        # rounding can push a convex combination a few ulp past +-1
+        np.minimum(kept, ceiling, out=kept)
+        np.maximum(kept, floor, out=kept)
         if tables:
-            policy_rows.append((off_val[segment] > def_val[segment]).astype(np.uint8))
+            policy_rows.append((off > dfn).view(np.uint8))
             value_rows.append(kept.copy())
-        buf[center - keep : center + keep + 1] = kept
         gains[k] = buf[center]
     return _Sweep(gains, value_rows, policy_rows, evaluations)
+
+
+def _lattice_point(games_remaining, score) -> tuple[int, int]:
+    """Stage and score as plain ints; ``InvalidState`` unless both are integers.
+
+    Plain Python, no numpy call: a scalar lookup costs well under a
+    microsecond, so plain ints skip the general guard.
+    """
+    if type(games_remaining) is int and type(score) is int:
+        return games_remaining, score
+    k = require_integer(games_remaining, InvalidState, "stage must be an integer", -math.inf)
+    x = require_integer(score, InvalidState, "score must be an integer", -math.inf)
+    return k, x
 
 
 def _band(horizon: int, games_remaining: int, largest: int, first_stage: int) -> int:
@@ -124,7 +165,7 @@ class ValueTable:
     rows: list = field(repr=False)
 
     def value(self, games_remaining: int, score: int) -> float:
-        k, x = int(games_remaining), int(score)
+        k, x = _lattice_point(games_remaining, score)
         band = _band(self.horizon, k, abs(x), 0)
         if abs(x) > band:
             return float((x > 0) - (x < 0))
@@ -148,14 +189,16 @@ class PolicyTable:
     rows: list = field(repr=False)
 
     def action(self, games_remaining: int, score: int) -> Action:
-        k, x = int(games_remaining), int(score)
+        k, x = _lattice_point(games_remaining, score)
         band = _band(self.horizon, k, abs(x), 1)
         return Action.OFF if abs(x) <= band and self.rows[k - 1][x + band] else Action.DEF
 
     def offense_mask(self, games_remaining: int, scores: np.ndarray) -> np.ndarray:
         """Vectorised ``action(...) is Action.OFF`` over an array of scores."""
-        k = int(games_remaining)
+        k, _ = _lattice_point(games_remaining, 0)
         scores = np.asarray(scores)
+        if scores.dtype.kind not in "iu":
+            raise InvalidState(f"scores must be integers, got dtype {scores.dtype}")
         magnitude = np.abs(scores)
         band = _band(self.horizon, k, int(magnitude.max(initial=0)), 1)
         return (magnitude <= band) & (self.rows[k - 1].take(scores + band, mode="clip") != 0)
@@ -252,8 +295,5 @@ def find_optimal_horizon(
     """Horizon in 1..n_max with the largest optimal gain, smallest on ties."""
     n = require_horizon(n_max, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
     gains = _bellman_sweep(spec, n, prune=prune).gains
-    best_n = 1
-    for k in range(2, n + 1):
-        if gains[k] > gains[best_n]:
-            best_n = k
+    best_n = int(np.argmax(gains[1:])) + 1  # argmax keeps the first maximum
     return HorizonResult(best_n, float(gains[best_n]))

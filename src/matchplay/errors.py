@@ -68,12 +68,15 @@ def require_horizon(n_games, max_horizon=None, budget=None) -> int:
     """Validate a match length and return it as a plain int.
 
     With a ``budget`` the length must also fit in ``max_horizon`` stages, or
-    in ``budget`` stages when ``max_horizon`` is None.
+    in ``budget`` stages when ``max_horizon`` is None. ``max_horizon`` passes
+    the same integer guard as the length and raises ``InvalidHorizon``.
     """
     n = require_integer(n_games, InvalidHorizon, "match length must be a positive integer")
-    limit = budget if max_horizon is None else int(max_horizon)
-    if limit is not None and n > limit:
-        raise HorizonTooLarge(f"horizon {n} exceeds the configured budget of {limit} stages")
+    if max_horizon is not None:
+        rule = "stage budget must be a positive integer"
+        budget = require_integer(max_horizon, InvalidHorizon, rule)
+    if budget is not None and n > budget:
+        raise HorizonTooLarge(f"horizon {n} exceeds the configured budget of {budget} stages")
     return n
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analytic, dp, policies
 from .core import Action, MatchSpec, StyleDistribution, make_distribution
-from .errors import InvalidOracleInput, require_seed
+from .errors import InvalidOracleInput, InvalidSampleCount, require_integer, require_seed
 
 EXACT_TOL = 1e-12
 FORMULA_TOL = 1e-10
@@ -349,6 +349,7 @@ def _check_user_spec(spec: MatchSpec) -> Check:
 def run_checks(user_spec: MatchSpec | None = None, seed: int = 0, draws: int = 100) -> list[Check]:
     """Run the whole checklist; randomized checks use ``draws`` samples each."""
     rng = np.random.default_rng(require_seed(seed))
+    draws = require_integer(draws, InvalidSampleCount, "draws must be a positive integer")
     checks = [
         _check_g2_chess(),
         _check_score_monotonicity(),

@@ -103,7 +103,7 @@ class TestValueTable:
         )
         assert issubclass(InvalidState, MatchPlayError)
         for lookup in lookups:
-            for stage, score in ((5, 0), (2, 9), (2, -9)):
+            for stage, score in ((5, 0), (2, 9), (2, -9), (2.5, 0), (2, 0.5)):
                 with pytest.raises(InvalidState):
                     lookup(stage, score)
 
@@ -251,3 +251,9 @@ class TestBudgetsAndValidation:
                 solve(chess, bad)
         with pytest.raises(InvalidHorizon):
             find_optimal_horizon(chess, 0)
+
+    def test_bad_budgets_rejected(self, chess):
+        for bad in ("abc", 2.7, 0, True):
+            with pytest.raises(InvalidHorizon):
+                solve(chess, 2, max_horizon=bad)
+        assert solve(chess, 2, max_horizon=2.0).gain == solve(chess, 2).gain

@@ -7,7 +7,7 @@ import re
 import pytest
 
 import matchplay.policies
-from matchplay import InvalidSeed, MatchSpec
+from matchplay import InvalidSampleCount, InvalidSeed, MatchSpec
 from matchplay.verify import (
     IDENTITY_OFFENSES,
     LEAD_FLOOR_OFFENSES,
@@ -51,6 +51,12 @@ class TestChecklist:
         for bad in (-1, True, 1.5, "1"):
             with pytest.raises(InvalidSeed):
                 run_checks(seed=bad, draws=1)
+
+    def test_bad_draws_rejected(self):
+        # draws=0 used to report every randomized check as PASS without a draw
+        for bad in (0, -1, 1.5, True, "1", None):
+            with pytest.raises(InvalidSampleCount):
+                run_checks(seed=0, draws=bad)
 
 
 class TestFixtureSets:
