@@ -49,6 +49,10 @@ class InvalidState(MatchPlayError, ValueError):
     """A stage or score lies off the lattice a solved table covers."""
 
 
+class InvalidPolicy(MatchPlayError, ValueError):
+    """A policy label, or an action a policy returns, is not one the package knows."""
+
+
 def require_integer(value, error: type[MatchPlayError], rule: str, low=1, high=math.inf) -> int:
     """Return ``value`` as a plain int in [low, high), or raise ``error``.
 

@@ -31,9 +31,12 @@ from . import analytic, dp
 from .core import EQ_TOL, Action, MatchSpec
 from .errors import (
     InvalidOracleInput,
+    InvalidPolicy,
+    InvalidState,
     OracleHorizonTooLarge,
     RegimeNotCovered,
     require_horizon,
+    require_integer,
 )
 
 ORACLE_MAX_HORIZON = 5
@@ -65,14 +68,11 @@ class Policy:
 
 
 def _coerce_action(value) -> Action:
-    if isinstance(value, Action):
-        return value
     if isinstance(value, str):
-        try:
-            return {"off": Action.OFF, "def": Action.DEF}[value.strip().lower()]
-        except KeyError:
-            pass
-    raise ValueError(f"expected Off or Def, got {value!r}")
+        value = {"off": Action.OFF, "def": Action.DEF}.get(value.strip().lower(), value)
+    if not isinstance(value, Action):
+        raise InvalidPolicy(f"expected Off or Def, got {value!r}")
+    return value
 
 
 class FixedPolicy(Policy):
@@ -271,13 +271,18 @@ class AugmentedDistribution:
     def center(self) -> int:
         return self.horizon
 
+    def _stage(self, games_played) -> np.ndarray:
+        if games_played is None:
+            return self.stages[self.horizon]
+        rule = f"games played must be an integer in [0, {self.horizon}]"
+        return self.stages[require_integer(games_played, InvalidState, rule, 0, self.horizon + 1)]
+
     def score_distribution(self, games_played: int | None = None) -> np.ndarray:
-        t = self.horizon if games_played is None else int(games_played)
-        return self.stages[t][0] + self.stages[t][1]
+        stage = self._stage(games_played)
+        return stage[0] + stage[1]
 
     def lead_probability(self, games_played: int | None = None) -> float:
-        t = self.horizon if games_played is None else int(games_played)
-        return float(self.stages[t][1].sum())
+        return float(self._stage(games_played)[1].sum())
 
     @property
     def gain(self) -> float:

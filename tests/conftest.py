@@ -1,4 +1,4 @@
-"""Shared fixtures: reference match specs reused across the test modules."""
+"""Shared fixtures: reference match specs and a reference Bellman sweep."""
 
 from __future__ import annotations
 
@@ -22,6 +22,39 @@ CURVE_PEAK6_PROBS = (0.43, 0.0, 0.57, 0.06, 0.86, 0.08)
 
 def make_spec(pw, pd, pl, qw, qd, ql) -> MatchSpec:
     return MatchSpec.from_probs(pw, pd, pl, qw, qd, ql)
+
+
+def reference_sweep(spec: MatchSpec, n_max: int, prune: bool):
+    """The Bellman recursion one cell at a time in plain Python floats.
+
+    Same association, ``(w*up + l*down) + d*mid``, and same clamp as
+    ``dp._bellman_sweep``; returns (gains, value rows, policy rows,
+    evaluations). With ``prune`` stage k evaluates the undecided band
+    |score| <= min(k, n_max - k), as the sweep does; without it, the full
+    reachable triangle |score| <= n_max - k, of which only the undecided band
+    is kept. Both modes must reproduce the sweep's bits.
+    """
+    pw, pd, pl = spec.offense.win, spec.offense.draw, spec.offense.loss
+    qw, qd, ql = spec.defense.win, spec.defense.draw, spec.defense.loss
+    center = n_max + 1
+    buf = [float((x > 0) - (x < 0)) for x in range(-center, center + 1)]
+    gains, value_rows, policy_rows, evaluations = [0.0], [[0.0]], [], 0
+    for k in range(1, n_max + 1):
+        keep = min(k, n_max - k)
+        band = keep if prune else n_max - k
+        off, dfn = {}, {}
+        for x in range(-band, band + 1):
+            up, mid, down = buf[center + x + 1], buf[center + x], buf[center + x - 1]
+            off[x] = (pw * up + pl * down) + pd * mid
+            dfn[x] = (qw * up + ql * down) + qd * mid
+            evaluations += 1
+        kept = range(-keep, keep + 1)
+        row = [max(min(max(off[x], dfn[x]), 1.0), -1.0) for x in kept]
+        buf[center - keep : center + keep + 1] = row
+        value_rows.append(row)
+        policy_rows.append([off[x] > dfn[x] for x in kept])
+        gains.append(buf[center])
+    return gains, value_rows, policy_rows, evaluations
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
 """Tests for the backward-induction solver and its tables.
 
 The two-game running example is checked against hand arithmetic; larger
-horizons lean on cross-route identities (pruned vs unpruned sweeps, curve vs
-single solve, solver vs forward evaluation of its own policy).
+horizons lean on cross-route identities (the banded sweep vs a full-triangle
+reference, curve vs single solve, solver vs forward evaluation of its own
+policy).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from matchplay import (
     GainCurve,
     HorizonTooLarge,
     InvalidHorizon,
+    InvalidPolicy,
     InvalidState,
     MatchPlayError,
     exact_policy_gain,
@@ -25,7 +27,7 @@ from matchplay import (
 )
 from matchplay.dp import POLICY_LABELS
 
-from conftest import make_spec
+from conftest import make_spec, reference_sweep
 
 EXACT_TOL = 1e-12
 
@@ -129,28 +131,29 @@ class TestValueTable:
 
 class TestPruning:
     def test_same_bits_with_and_without(self):
+        # solve evaluates the undecided band; the reference the full triangle
         rng = np.random.default_rng(17)
         for _ in range(12):
             spec = random_spec(rng)
             n = int(rng.integers(1, 41))
-            pruned = solve(spec, n, prune=True)
-            full = solve(spec, n, prune=False)
-            assert pruned.gain == full.gain
+            pruned = solve(spec, n)
+            gains, value_rows, policy_rows, _ = reference_sweep(spec, n, prune=False)
+            assert pruned.gain == gains[n]
             for k in range(n + 1):
-                assert np.array_equal(pruned.values.rows[k], full.values.rows[k])
+                assert np.array_equal(pruned.values.rows[k], value_rows[k])
             for k in range(n):
-                assert np.array_equal(pruned.policy.rows[k], full.policy.rows[k])
+                assert np.array_equal(pruned.policy.rows[k], policy_rows[k])
 
     def test_curve_same_bits(self, chess):
-        a = gain_curve(chess, 64, prune=True).gains["optimal"]
-        b = gain_curve(chess, 64, prune=False).gains["optimal"]
+        a = gain_curve(chess, 64).gains["optimal"]
+        b = reference_sweep(chess, 64, prune=False)[0][1:]
         assert np.array_equal(a, b)
 
     def test_evaluation_counts_at_64(self, chess):
         # diamond band: sum of 2*min(k, 64-k)+1 = 2112 cells; the full
         # reachable triangle is 64^2 = 4096, so pruning removes 48.4%
-        assert solve(chess, 64, prune=True).values.evaluations == 2112
-        assert solve(chess, 64, prune=False).values.evaluations == 4096
+        assert solve(chess, 64).values.evaluations == 2112
+        assert reference_sweep(chess, 64, prune=False)[3] == 4096
 
 
 class TestGainCurve:
@@ -184,6 +187,12 @@ class TestGainCurve:
     def test_unknown_label_rejected(self, chess):
         with pytest.raises(ValueError):
             gain_curve(chess, 4, ("optimal", "greedy"))
+
+    @pytest.mark.parametrize("labels", [("optimal", "greedy"), "greedy", None, 42])
+    def test_bad_labels_raise_a_library_error(self, chess, labels):
+        with pytest.raises(InvalidPolicy) as info:
+            gain_curve(chess, 4, labels)
+        assert isinstance(info.value, MatchPlayError)
 
     def test_optimal_dominates_benchmarks(self, chess):
         curve = gain_curve(chess, 40, POLICY_LABELS).gains

@@ -17,6 +17,9 @@ from matchplay import (
     FixedPolicy,
     HorizonTooLarge,
     InvalidOracleInput,
+    InvalidPolicy,
+    InvalidState,
+    MatchPlayError,
     OracleHorizonTooLarge,
     RegimeNotCovered,
     as_policy,
@@ -26,6 +29,7 @@ from matchplay import (
     cat_plus_identity_check,
     cat_plus_policy,
     cat_policy,
+    estimate_gain,
     exact_policy_gain,
     fixed_policy,
     fixed_style_gain,
@@ -139,6 +143,16 @@ class TestAsPolicy:
         with pytest.raises(TypeError):
             as_policy(42)
 
+    def test_non_actions_raise_a_library_error(self, chess):
+        for bad in (
+            lambda: fixed_policy("park-the-bus"),
+            lambda: estimate_gain(chess, "nope", 3, 10),
+            lambda: exact_policy_gain(chess, lambda k, x, led: 3, 3),
+        ):
+            with pytest.raises(InvalidPolicy) as info:
+                bad()
+            assert isinstance(info.value, MatchPlayError)
+
 
 class TestExactEvaluation:
     def test_fixed_styles_match_the_closed_form(self):
@@ -224,6 +238,17 @@ class TestPropagation:
         final = law.score_distribution()
         assert final.shape == (21,)
         assert abs(float(final.sum()) - 1.0) <= EXACT_TOL
+
+    def test_stage_outside_the_match_rejected(self, chess):
+        law = propagate_policy(chess, cat_policy(), 4)
+        for read, stage in (
+            (law.score_distribution, -1),
+            (law.score_distribution, 2.5),
+            (law.lead_probability, -2),
+            (law.score_distribution, 9),
+        ):
+            with pytest.raises(InvalidState):
+                read(stage)
 
     def test_budget(self, chess):
         with pytest.raises(HorizonTooLarge):

@@ -1,9 +1,11 @@
 """Property tests on generated specs.
 
 The Bellman sweep is checked byte for byte against a per-cell Python
-reference of the same recursion, and the solver against the exhaustive
-oracle on short-decimal specs. Examples are derandomized, so every run draws
-the same specs.
+reference of the same recursion, over the undecided band and over the full
+reachable triangle, and the solver against the exhaustive oracle on
+short-decimal specs. The forward evaluator is checked against the trinomial
+closed form, and Monte Carlo estimates against exact gains. Examples are
+derandomized, so every run draws the same specs.
 """
 
 from __future__ import annotations
@@ -13,10 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchplay import MatchSpec, brute_force_optimal, solve
+from matchplay import (
+    MatchSpec,
+    brute_force_optimal,
+    cat_policy,
+    estimate_gain,
+    exact_policy_gain,
+    fixed_style_gain,
+    solve,
+    table_policy,
+)
 from matchplay.dp import _bellman_sweep
 
+from conftest import reference_sweep
+
 EXACT_TOL = 1e-12
+FORMULA_TOL = 1e-10
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -57,45 +71,18 @@ def short_decimal_specs(draw):
     )
 
 
-def reference_sweep(spec: MatchSpec, n_max: int, prune: bool):
-    """The Bellman recursion one cell at a time in plain Python floats.
-
-    Same association, ``(w*up + l*down) + d*mid``, and same clamp as the
-    sweep; returns (gains, value rows, policy rows, evaluations).
-    """
-    pw, pd, pl = spec.offense.win, spec.offense.draw, spec.offense.loss
-    qw, qd, ql = spec.defense.win, spec.defense.draw, spec.defense.loss
-    center = n_max + 1
-    buf = [float((x > 0) - (x < 0)) for x in range(-center, center + 1)]
-    gains, value_rows, policy_rows, evaluations = [0.0], [[0.0]], [], 0
-    for k in range(1, n_max + 1):
-        keep = min(k, n_max - k)
-        band = keep if prune else n_max - k
-        off, dfn = {}, {}
-        for x in range(-band, band + 1):
-            up, mid, down = buf[center + x + 1], buf[center + x], buf[center + x - 1]
-            off[x] = (pw * up + pl * down) + pd * mid
-            dfn[x] = (qw * up + ql * down) + qd * mid
-            evaluations += 1
-        kept = range(-keep, keep + 1)
-        row = [max(min(max(off[x], dfn[x]), 1.0), -1.0) for x in kept]
-        buf[center - keep : center + keep + 1] = row
-        value_rows.append(row)
-        policy_rows.append([off[x] > dfn[x] for x in kept])
-        gains.append(buf[center])
-    return gains, value_rows, policy_rows, evaluations
-
-
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
 @PROPERTY_SETTINGS
 @given(spec=specs(), n=st.integers(1, 40))
 def test_sweep_matches_the_per_cell_reference_bit_for_bit(prune, spec, n):
-    gains, value_rows, policy_rows, evaluations = reference_sweep(spec, n, prune)
-    curve = _bellman_sweep(spec, n, prune=prune)
-    tables = _bellman_sweep(spec, n, prune=prune, tables=True)
+    gains, value_rows, policy_rows, _ = reference_sweep(spec, n, prune)
+    # the sweep evaluates the undecided band only, as the pruned reference does
+    band_cells = reference_sweep(spec, n, True)[3]
+    curve = _bellman_sweep(spec, n)
+    tables = _bellman_sweep(spec, n, tables=True)
     for sweep in (curve, tables):
         assert sweep.gains.tobytes() == np.array(gains).tobytes()
-        assert sweep.evaluations == evaluations
+        assert sweep.evaluations == band_cells
     assert len(tables.value_rows) == len(value_rows) == n + 1
     for got, want in zip(tables.value_rows, value_rows):
         assert got.dtype == np.float64
@@ -110,3 +97,22 @@ def test_sweep_matches_the_per_cell_reference_bit_for_bit(prune, spec, n):
 @given(spec=short_decimal_specs(), n=st.integers(1, 4))
 def test_solver_matches_the_exhaustive_oracle(spec, n):
     assert abs(solve(spec, n).gain - brute_force_optimal(spec, n)) <= EXACT_TOL
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(spec=specs(), n=st.integers(1, 200))
+def test_forward_walk_of_a_fixed_style_matches_the_closed_form(spec, n):
+    assert abs(exact_policy_gain(spec, "Off", n) - fixed_style_gain(spec.offense, n)) <= FORMULA_TOL
+    assert abs(exact_policy_gain(spec, "Def", n) - fixed_style_gain(spec.defense, n)) <= FORMULA_TOL
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(spec=specs(), n=st.integers(1, 30), seed=st.integers(0, 2**32))
+def test_monte_carlo_lies_within_five_sigma_of_the_exact_gain(spec, n, seed):
+    samples = 2_000
+    for policy in (cat_policy(), table_policy(solve(spec, n).policy)):
+        exact = exact_policy_gain(spec, policy, n)
+        estimate = estimate_gain(spec, policy, n, samples, seed)
+        # an exact gain of a sure result can round an ulp past +-1
+        sigma = np.sqrt(max(1 - exact**2, 0.0) / samples)
+        assert abs(estimate.mean - exact) <= 5 * sigma + EXACT_TOL
