@@ -26,11 +26,15 @@ def sign_expectation(mass: np.ndarray, center: int) -> float:
     """Expected sign of the score for a mass vector centered at score 0.
 
     The negative tail is summed in mirrored order (score -1, -2, ...) so that
-    a bitwise symmetric distribution yields exactly 0.0.
+    a bitwise symmetric distribution yields exactly 0.0. Rounding can carry a
+    sure result an ulp past +-1, so the result is clamped to [-1, 1].
     """
-    pos = float(mass[center + 1 :].sum())
-    neg = float(mass[center - 1 :: -1].sum())
-    return pos - neg
+    gain = float(mass[center + 1 :].sum()) - float(mass[center - 1 :: -1].sum())
+    if gain > 1.0:
+        return 1.0
+    if gain < -1.0:
+        return -1.0
+    return gain
 
 
 def step(mass: np.ndarray, games_played: int, w, d, l) -> np.ndarray:

@@ -13,9 +13,16 @@ forward one game at a time, which costs O(N^2) and no sampling error. Every
 exact forward pass, here and in ``analytic``'s fixed-style convolution, runs
 through one banded stencil, ``analytic.step``, which touches only the
 reachable scores. The trinomial sum in ``analytic`` shares no code with it and
-serves as the independent check. A separate brute-force oracle enumerates
-every stage-and-score policy with integer arithmetic for tiny horizons and
-anchors the solver tests.
+serves as the independent check. Every gain is read off a distribution by
+``analytic.sign_expectation`` and so lies in [-1, 1].
+
+The protect-the-lead curves for all horizons come from one walk under the
+plain rule. The refined rule changes only a level last game, so its curve
+takes the same walk's mass and recomputes the three cells around score 0 at
+each stage; the tests pin both curves bit for bit against evaluating each
+horizon on its own. A separate brute-force oracle enumerates every
+stage-and-score policy with integer arithmetic for tiny horizons and anchors
+the solver tests.
 """
 
 from __future__ import annotations
@@ -319,27 +326,44 @@ def lead_policy_curves(
     """Exact protect-the-lead gains for every horizon 1..n_max, in one pass.
 
     The plain rule never looks at the horizon, so one forward pass under it
-    yields every horizon's gain. The refined rule differs only in the last
-    game, so its horizon-(s+1) gain is one refined step applied to the stage-s
-    mass of the same pass. Gains are computed over the reachable score band,
-    which makes them bit-identical to evaluating each horizon separately.
+    yields every horizon's gain. The refined rule differs from it only when
+    the last game starts level, and the stencil is linear, so its
+    horizon-(s+1) mass is the plain stage-(s+1) mass except at scores -1, 0
+    and +1. Those three cells are recomputed from the stage-s mass; no second
+    pass runs. Gains are computed over the reachable score band, and the tests
+    pin both curves bit for bit against evaluating each horizon separately.
     """
     n = require_horizon(n_max, max_horizon, dp.DEFAULT_VALUE_HORIZON_BUDGET)
-    refined = cat_plus_policy(spec)
-    scores = np.arange(-n, n + 1)
+    final = spec.offense if cat_plus_policy(spec).final_offense else spec.defense
     cat_gains = np.zeros(n)
     catplus_gains = np.zeros(n)
+    level_finish = None
     for played, (not_led, led) in enumerate(_walk(spec, cat_policy(), n, True)):
-        band = slice(n - played, n + played + 1)
         if played:
-            cat_gains[played - 1] = analytic.sign_expectation(not_led[band] + led[band], played)
+            mass = not_led[n - played : n + played + 1] + led[n - played : n + played + 1]
+            cat_gains[played - 1] = analytic.sign_expectation(mass, played)
+            mass[played - 1 : played + 2] = level_finish
+            catplus_gains[played - 1] = analytic.sign_expectation(mass, played)
         if played < n:
-            final = _play(spec, refined, 1, (not_led, led), scores[band])
-            wide = slice(n - played - 1, n + played + 2)
-            catplus_gains[played] = analytic.sign_expectation(
-                final[0][wide] + final[1][wide], played + 1
-            )
+            # the plain rule plays offense until the first lead, defense after
+            not_led_near = _near_zero_after_last_game(not_led, n, spec.offense, final)
+            led_near = _near_zero_after_last_game(led, n, spec.defense, final)
+            level_finish = [a + b for a, b in zip(not_led_near, led_near)]
     return cat_gains, catplus_gains
+
+
+def _near_zero_after_last_game(layer: np.ndarray, center: int, style, final) -> list:
+    """Mass at scores -1, 0, +1 after one game where score 0 plays ``final``.
+
+    Every other score plays ``style``. This is ``analytic.step``'s stencil,
+    with its association, on the five cells at scores -2..2 in Python floats.
+    """
+    src = [float(layer[center + x]) if abs(x) <= center else 0.0 for x in range(-2, 3)]
+    coef = (style, style, final, style, style)
+    return [
+        (coef[i - 1].win * src[i - 1] + coef[i + 1].loss * src[i + 1]) + coef[i].draw * src[i]
+        for i in (1, 2, 3)
+    ]
 
 
 def cat_gain_curve(spec: MatchSpec, n_max: int, *, max_horizon: int | None = None) -> np.ndarray:

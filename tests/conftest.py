@@ -1,10 +1,13 @@
-"""Shared fixtures: reference match specs and a reference Bellman sweep."""
+"""Shared fixtures: reference match specs and two reference Bellman sweeps."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
 from matchplay import MatchSpec
+from matchplay.policies import _ORACLE_SCALE, _scaled_probs
 
 # the running two-game example: a clearly losing offense against a drawish
 # defense, where switching styles still forces a positive expected sign
@@ -55,6 +58,30 @@ def reference_sweep(spec: MatchSpec, n_max: int, prune: bool):
         policy_rows.append([off[x] > dfn[x] for x in kept])
         gains.append(buf[center])
     return gains, value_rows, policy_rows, evaluations
+
+
+def exact_bellman_gains(spec: MatchSpec, n_max: int) -> list[Fraction]:
+    """Exact optimal gains for horizons 0..n_max, by the recursion in integers.
+
+    Probabilities must be whole millionths, as for the enumeration oracle.
+    With k games left a value is an integer weight over ``_ORACLE_SCALE**k``,
+    so the maximum over styles is taken exactly. Stage k keeps the undecided
+    band |score| <= min(k, n_max - k), as the sweep does.
+    """
+    styles = (_scaled_probs(spec.offense), _scaled_probs(spec.defense))
+    row, scale = {0: 0}, 1  # the last stage's band, as weights over scale
+    gains = [Fraction(0)]
+    for k in range(1, n_max + 1):
+        for x in (k, k + 1):  # with k - 1 games left these scores keep their sign
+            row[x], row[-x] = scale, -scale
+        band = min(k, n_max - k)
+        row = {
+            x: max(w * row[x + 1] + l * row[x - 1] + d * row[x] for w, d, l in styles)
+            for x in range(-band, band + 1)
+        }
+        scale *= _ORACLE_SCALE
+        gains.append(Fraction(row[0], scale))
+    return gains
 
 
 @pytest.fixture(scope="session")

@@ -168,6 +168,11 @@ class TestSignExpectation:
         mass = np.array([0.1, 0.2, 0.3, 0.4])  # scores -2..1 around center 2
         assert sign_expectation(mass, 2) == pytest.approx(0.4 - 0.3, abs=EXACT_TOL)
 
+    def test_rounding_past_a_sure_result_is_clamped(self):
+        ulp = np.spacing(1.0)
+        assert sign_expectation(np.array([0.0, 0.0, 1.0 + ulp]), 1) == 1.0
+        assert sign_expectation(np.array([0.5, 0.5 + ulp, 0.0, 0.0]), 2) == -1.0
+
 
 class TestHittingProbability:
     def test_never_wins(self):

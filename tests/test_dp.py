@@ -2,8 +2,8 @@
 
 The two-game running example is checked against hand arithmetic; larger
 horizons lean on cross-route identities (the banded sweep vs a full-triangle
-reference, curve vs single solve, solver vs forward evaluation of its own
-policy).
+reference, an exact integer recursion, curve vs single solve, solver vs
+forward evaluation of its own policy).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from matchplay import (
     InvalidPolicy,
     InvalidState,
     MatchPlayError,
+    brute_force_optimal,
     exact_policy_gain,
     find_optimal_horizon,
     gain_curve,
@@ -27,7 +28,7 @@ from matchplay import (
 )
 from matchplay.dp import POLICY_LABELS
 
-from conftest import make_spec, reference_sweep
+from conftest import CHESS_PROBS, GRIND_PROBS, exact_bellman_gains, make_spec, reference_sweep
 
 EXACT_TOL = 1e-12
 
@@ -238,6 +239,41 @@ class TestSolverAgainstForwardEvaluation:
             result = solve(spec, n)
             replay = exact_policy_gain(spec, table_policy(result.policy), n)
             assert replay == pytest.approx(result.gain, abs=EXACT_TOL)
+
+
+# short-decimal specs the integer recursion takes exactly; the last five
+# defenses are fair (two sure draws), and two of those specs score exactly 0
+# at every horizon
+EXACT_ANCHOR_PROBS = [
+    CHESS_PROBS,
+    GRIND_PROBS,
+    (0.3, 0.4, 0.3, 0.1, 0.8, 0.1),
+    (0.4, 0.0, 0.6, 0.15, 0.7, 0.15),
+    (0.0, 0.3, 0.7, 0.2, 0.6, 0.2),
+    (0.45, 0.0, 0.55, 0.0, 1.0, 0.0),
+    (0.3, 0.1, 0.6, 0.0, 1.0, 0.0),
+]
+
+
+class TestExactAnchor:
+    @pytest.mark.parametrize("probs", EXACT_ANCHOR_PROBS)
+    def test_sweep_agrees_with_the_integer_recursion_at_200(self, probs):
+        spec = make_spec(*probs)
+        exact = exact_bellman_gains(spec, 200)
+        floats = gain_curve(spec, 200).gains["optimal"]
+        assert abs(solve(spec, 200).gain - float(exact[200])) <= EXACT_TOL
+        for want, got in zip(exact[1:], floats):
+            assert abs(got - float(want)) <= EXACT_TOL
+            if want == 0 and spec.defense.win == spec.defense.loss:
+                # the fair-defense floor is exact, not just within tolerance
+                assert got == 0.0
+
+    def test_the_recursion_matches_the_exhaustive_oracle(self):
+        for probs in EXACT_ANCHOR_PROBS[:5]:
+            spec = make_spec(*probs)
+            exact = exact_bellman_gains(spec, 4)
+            for n in range(1, 5):
+                assert float(exact[n]) == brute_force_optimal(spec, n)
 
 
 class TestBudgetsAndValidation:

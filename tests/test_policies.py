@@ -206,6 +206,18 @@ class TestExactEvaluation:
         gains = gain_curve(spec, 300).gains["optimal"]
         assert float(np.min(gains)) >= 0.0
 
+    def test_sure_loss_gains_stay_at_minus_one(self):
+        # neither style ever wins, so past 16 games the draw chance is below
+        # an ulp and every route must land on -1.0, never an ulp below it
+        spec = make_spec(0.0, 0.109375, 0.890625, 0.0, 0.109375, 0.890625)
+        for policy in ("Off", "Def", cat_policy(), cat_plus_policy(spec)):
+            assert exact_policy_gain(spec, policy, 17) == -1.0
+            assert propagate_policy(spec, policy, 17).gain == -1.0
+        curve = gain_curve(spec, 60, ("optimal", "cat", "catplus", "off", "def"))
+        for label, gains in curve.gains.items():
+            assert np.all(gains >= -1.0), label
+            assert np.all(gains[16:] == -1.0), label
+
     def test_budget(self, chess):
         with pytest.raises(HorizonTooLarge):
             exact_policy_gain(chess, "off", 100_001)

@@ -4,8 +4,9 @@ The Bellman sweep is checked byte for byte against a per-cell Python
 reference of the same recursion, over the undecided band and over the full
 reachable triangle, and the solver against the exhaustive oracle on
 short-decimal specs. The forward evaluator is checked against the trinomial
-closed form, and Monte Carlo estimates against exact gains. Examples are
-derandomized, so every run draws the same specs.
+closed form, the one-pass protect-the-lead curves bit for bit against
+evaluating each horizon, and Monte Carlo estimates against exact gains.
+Examples are derandomized, so every run draws the same specs.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from hypothesis import strategies as st
 from matchplay import (
     MatchSpec,
     brute_force_optimal,
+    cat_plus_policy,
     cat_policy,
     estimate_gain,
     exact_policy_gain,
     fixed_style_gain,
+    lead_policy_curves,
     solve,
     table_policy,
 )
@@ -107,12 +110,26 @@ def test_forward_walk_of_a_fixed_style_matches_the_closed_form(spec, n):
 
 
 @settings(PROPERTY_SETTINGS, max_examples=40)
+@given(spec=specs(), n=st.integers(1, 40))
+def test_lead_curves_match_per_horizon_evaluation_bit_for_bit(spec, n):
+    refined = cat_plus_policy(spec)
+    horizons = range(1, max(n, 2) + 1)
+    cat = [exact_policy_gain(spec, cat_policy(), m) for m in horizons]
+    catplus = [exact_policy_gain(spec, refined, m) for m in horizons]
+    # one and two games leave fewer than five cells around score 0
+    for n_max in {1, 2, n}:
+        curves = lead_policy_curves(spec, n_max)
+        assert curves[0].tobytes() == np.array(cat[:n_max]).tobytes()
+        assert curves[1].tobytes() == np.array(catplus[:n_max]).tobytes()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
 @given(spec=specs(), n=st.integers(1, 30), seed=st.integers(0, 2**32))
 def test_monte_carlo_lies_within_five_sigma_of_the_exact_gain(spec, n, seed):
     samples = 2_000
     for policy in (cat_policy(), table_policy(solve(spec, n).policy)):
         exact = exact_policy_gain(spec, policy, n)
         estimate = estimate_gain(spec, policy, n, samples, seed)
-        # an exact gain of a sure result can round an ulp past +-1
-        sigma = np.sqrt(max(1 - exact**2, 0.0) / samples)
+        # exact gains lie in [-1, 1], so the variance bound is never negative
+        sigma = np.sqrt((1 - exact**2) / samples)
         assert abs(estimate.mean - exact) <= 5 * sigma + EXACT_TOL
