@@ -7,6 +7,9 @@ digits, line endings are LF, and no locale-dependent formatting is used.
 
 Exit codes: 0 success, 2 invalid input, 3 over the resource budget, 4
 verification failure.
+
+Each command imports the modules it uses when it runs, so a cold process pays
+only for those: ``classify`` and ``limits`` never import numpy.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import analytic, dp, policies, sim, verify
-from .core import MatchSpec
+from .core import POLICY_LABELS, MatchSpec, optimal_limit
 from .errors import HorizonTooLarge, MatchPlayError
 
 EXIT_OK = 0
@@ -87,6 +89,8 @@ def _spec_from_args(args) -> MatchSpec:
 
 
 def _policy_from_label(label: str, spec: MatchSpec, horizon: int):
+    from . import dp, policies
+
     if label == "optimal":
         return policies.table_policy(dp.solve(spec, horizon).policy)
     if label == "cat":
@@ -107,8 +111,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from . import dp
+
     spec = _spec_from_args(args)
-    curve = dp.gain_curve(spec, args.n_max, dp.POLICY_LABELS)
+    curve = dp.gain_curve(spec, args.n_max, POLICY_LABELS)
     rows = []
     for i, n in enumerate(curve.horizons.tolist()):
         row = {"N": int(n)}
@@ -120,6 +126,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_nstar(args) -> int:
+    from . import dp
+
     spec = _spec_from_args(args)
     best = dp.find_optimal_horizon(spec, args.n_max)
     _emit([{"n_star": best.horizon, "gain": best.gain}], ("n_star", "gain"), args)
@@ -128,7 +136,7 @@ def _cmd_nstar(args) -> int:
 
 def _cmd_limits(args) -> int:
     spec = _spec_from_args(args)
-    verdict = analytic.optimal_limit(spec)
+    verdict = optimal_limit(spec)
     row = {
         "regime": verdict.regime.value,
         "optimal_limit": verdict.optimal_limit,
@@ -139,6 +147,8 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import sim
+
     spec = _spec_from_args(args)
     policy = _policy_from_label(args.policy, spec, args.horizon)
     estimate = sim.estimate_gain(spec, policy, args.horizon, args.samples, args.seed)
@@ -153,6 +163,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     given = [flag for flag in _SPEC_FLAGS if getattr(args, flag) is not None]
     if given and len(given) < len(_SPEC_FLAGS):
         missing = sorted(set(_SPEC_FLAGS) - set(given))
@@ -212,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--policy", choices=dp.POLICY_LABELS, default="optimal")
+    p.add_argument("--policy", choices=POLICY_LABELS, default="optimal")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_simulate)
 

@@ -1,10 +1,13 @@
-"""Domain types: per-style outcome distributions, match specifications, and
-regime classification.
+"""Domain types: per-style outcome distributions, match specifications,
+regime classification, and the long-match limits each regime admits.
 
 All types are immutable after construction and safe to share across threads.
 Probability comparisons that decide a regime flag use an absolute tolerance of
 ``EQ_TOL``: inputs are short decimals, so anything closer than 1e-12 is
 rounding noise rather than intent.
+
+The module is plain Python and imports no numpy, so the ``classify`` and
+``limits`` commands start without it.
 """
 
 from __future__ import annotations
@@ -14,9 +17,12 @@ import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import InvalidMatchSpec, InvalidProbability
+from .errors import InvalidMatchSpec, InvalidProbability, RegimeNotCovered
 
 EQ_TOL = 1e-12
+
+# the policy names that gain curves and the command line accept, in output order
+POLICY_LABELS = ("optimal", "cat", "catplus", "off", "def")
 
 
 class Action(Enum):
@@ -143,3 +149,78 @@ class MatchSpec:
 def classify(spec: MatchSpec) -> Classification:
     """Return the cached classification of ``spec``."""
     return spec.classification
+
+
+def hitting_probability(style: StyleDistribution) -> float:
+    """Chance that the score walk driven by ``style`` ever reaches +1 from 0.
+
+    Total by convention: 0 when the style never wins, 1 when it wins at least
+    as often as it loses (or never loses while winning sometimes), and
+    win/loss for the strictly losing case.
+    """
+    w, l = style.win, style.loss
+    if w <= 0.0:
+        return 0.0
+    if l <= 0.0 or w >= l:
+        return 1.0
+    return w / l
+
+
+class Regime(Enum):
+    """Parameter regimes with a known long-match limit for optimal play."""
+
+    BOTH_STRICTLY_LOSING = "both_strictly_losing"
+    FAIR_NON_SAFE = "fair_non_safe"
+    SAFE_DEFENSE = "safe_defense"
+
+
+@dataclass(frozen=True)
+class AsymptoticVerdict:
+    """Long-match limits: the optimal one always, the protect-the-lead one when defined."""
+
+    regime: Regime
+    optimal_limit: float
+    cat_limit: float | None
+
+
+def cat_limit(spec: MatchSpec) -> float:
+    """Limit of the protect-the-lead gain as the match length grows.
+
+    Requires a weak player and a defense that is either a sure draw or fair.
+    With hitting probability h of ever leading, the limit is 2h - 1 for a
+    sure-draw defense (lead frozen forever) and h - 1 for a fair one (the
+    post-switch walk ends positive or negative with equal chance).
+    """
+    cls = spec.classification
+    if not cls.weak:
+        raise RegimeNotCovered("no limit is derived unless the player is weak")
+    if not (cls.safe_defense or cls.fair_non_safe):
+        raise RegimeNotCovered("defense must be a sure draw or fair for this limit")
+    offense = spec.offense
+    if offense.win <= 0.0 and offense.loss <= 0.0:
+        raise RegimeNotCovered("offense never moves the score, so the lead is never chased")
+    h = hitting_probability(offense)
+    return 2.0 * h - 1.0 if cls.safe_defense else h - 1.0
+
+
+def optimal_limit(spec: MatchSpec) -> AsymptoticVerdict:
+    """Long-match limit of the optimal gain, with the regime that justifies it.
+
+    Covered regimes for a weak player with strictly losing offense:
+    a strictly losing defense drives the gain to -1, a fair non-safe defense
+    to 0, and a sure-draw defense to max(0, 2 * win/loss - 1). A fair offense
+    or a non-weak player is refused rather than extrapolated.
+    """
+    cls = spec.classification
+    if not cls.weak:
+        raise RegimeNotCovered("no limit is derived unless the player is weak")
+    offense = spec.offense
+    if abs(offense.win - offense.loss) <= EQ_TOL:
+        raise RegimeNotCovered("fair offense has no covered limit")
+    if cls.safe_defense:
+        chase = cat_limit(spec)
+        return AsymptoticVerdict(Regime.SAFE_DEFENSE, max(0.0, chase), chase)
+    if cls.fair_non_safe:
+        return AsymptoticVerdict(Regime.FAIR_NON_SAFE, 0.0, cat_limit(spec))
+    # weak with an unfair defense means the defense is strictly losing too
+    return AsymptoticVerdict(Regime.BOTH_STRICTLY_LOSING, -1.0, None)

@@ -29,13 +29,11 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import analytic
-from .core import Action, MatchSpec
+from .core import POLICY_LABELS, Action, MatchSpec
 from .errors import InvalidPolicy, InvalidState, require_horizon, require_integer
 
 DEFAULT_VALUE_HORIZON_BUDGET = 100_000
 DEFAULT_TABLE_HORIZON_BUDGET = 20_000
-
-POLICY_LABELS = ("optimal", "cat", "catplus", "off", "def")
 
 
 class _Sweep(NamedTuple):

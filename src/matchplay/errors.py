@@ -2,8 +2,6 @@
 
 import math
 
-import numpy as np
-
 
 class MatchPlayError(Exception):
     """Base class for every package-specific error."""
@@ -58,12 +56,14 @@ def require_integer(value, error: type[MatchPlayError], rule: str, low=1, high=m
 
     Integral floats and numpy integers pass; bools (Python or numpy), strings,
     non-finite and non-integral values do not. ``rule`` opens the message.
+    Numpy bools are told by their dtype, so the guard needs no numpy import.
     """
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         raise error(f"{rule}, got {value!r}") from None
-    if isinstance(value, (bool, np.bool_)) or n != value or not low <= n < high:
+    is_bool = isinstance(value, bool) or getattr(value, "dtype", None) == bool
+    if is_bool or n != value or not low <= n < high:
         raise error(f"{rule}, got {value!r}")
     return n
 

@@ -190,7 +190,7 @@ def as_policy(policy) -> Policy:
         return FixedPolicy(policy)
     if callable(policy):
         return _FunctionPolicy(policy)
-    raise TypeError(f"cannot interpret {policy!r} as a policy")
+    raise InvalidPolicy(f"cannot interpret {policy!r} as a policy")
 
 
 def _walk(spec: MatchSpec, policy: Policy, n: int, flagged: bool):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, dp, policies
-from .core import Action, MatchSpec, StyleDistribution, make_distribution
+from .core import POLICY_LABELS, Action, MatchSpec, StyleDistribution, make_distribution
 from .errors import InvalidOracleInput, InvalidSampleCount, require_integer, require_seed
 
 EXACT_TOL = 1e-12
@@ -145,7 +145,7 @@ def _check_score_monotonicity() -> Check:
 def _check_benchmark_floor() -> Check:
     worst = 0.0
     for spec in SPEC_GRID:
-        curve = dp.gain_curve(spec, 48, dp.POLICY_LABELS)
+        curve = dp.gain_curve(spec, 48, POLICY_LABELS)
         best = curve.gains["optimal"]
         for label in ("cat", "catplus", "off", "def"):
             worst = max(worst, float(np.max(curve.gains[label] - best)))
@@ -327,7 +327,7 @@ def _check_safe_defense_monotone(rng: np.random.Generator, draws: int) -> Check:
 
 
 def _check_user_spec(spec: MatchSpec) -> Check:
-    curve = dp.gain_curve(spec, 60, dp.POLICY_LABELS)
+    curve = dp.gain_curve(spec, 60, POLICY_LABELS)
     best = curve.gains["optimal"]
     floor_gap = max(
         float(np.max(curve.gains[label] - best))

@@ -1,11 +1,17 @@
-"""Shared fixtures: reference match specs and two reference Bellman sweeps."""
+"""Shared fixtures: reference match specs, two reference Bellman sweeps, and a
+fresh-interpreter runner."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import matchplay
 from matchplay import MatchSpec
 from matchplay.policies import _ORACLE_SCALE, _scaled_probs
 
@@ -25,6 +31,20 @@ CURVE_PEAK6_PROBS = (0.43, 0.0, 0.57, 0.06, 0.86, 0.08)
 
 def make_spec(pw, pd, pl, qw, qd, ql) -> MatchSpec:
     return MatchSpec.from_probs(pw, pd, pl, qw, qd, ql)
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports this matchplay."""
+    src = Path(matchplay.__file__).resolve().parents[1]
+    paths = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return proc.stdout
 
 
 def reference_sweep(spec: MatchSpec, n_max: int, prune: bool):

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +12,7 @@ import matchplay.policies
 from matchplay import estimate_gain, find_optimal_horizon
 from matchplay.cli import main
 
-from conftest import CHESS_PROBS, CURVE_PEAK4_PROBS, CURVE_PEAK6_PROBS
+from conftest import CHESS_PROBS, CURVE_PEAK4_PROBS, CURVE_PEAK6_PROBS, fresh_python
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -221,14 +218,39 @@ class TestExitCodes:
 
 def test_cli_import_leaves_scipy_out():
     # a cold call pays for every module the cli imports; scipy is not one
-    src = Path(matchplay.policies.__file__).resolve().parents[1]
-    paths = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     code = "import sys, matchplay.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert proc.stdout == "[]\n"
+    assert fresh_python(code) == "[]\n"
+
+
+# runs each argv list of sys.argv[1] through cli.main in turn; reports, after
+# each step, the exit code, stdout and whether numpy has been imported yet
+_COLD_STEPS = """
+import contextlib, io, json, sys
+import matchplay
+steps = [["import matchplay", 0, "", "numpy" in sys.modules]]
+import matchplay.cli
+steps.append(["import matchplay.cli", 0, "", "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = matchplay.cli.main(argv)
+    steps.append([argv[0], code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_cold_classify_and_limits_leave_numpy_out():
+    argvs = [
+        ["classify", *spec_flags(CHESS_PROBS)],
+        ["limits", *spec_flags((0.3, 0.0, 0.7, 0.0, 1.0, 0.0))],
+        ["curve", *spec_flags(CURVE_PEAK4_PROBS), "--n-max", "20"],
+    ]
+    steps = json.loads(fresh_python(_COLD_STEPS, json.dumps(argvs)))
+    names = ["import matchplay", "import matchplay.cli", "classify", "limits", "curve"]
+    assert [step[0] for step in steps] == names
+    assert [step[1] for step in steps] == [0] * 5
+    assert [step[3] for step in steps] == [False, False, False, False, True]
+    assert steps[2][2].startswith("weak,strictly_weak,")
+    assert steps[3][2] == "regime,optimal_limit,cat_limit\nsafe_defense,0,-0.14285714285714279\n"
+    # the numpy-free commands leave the numpy-bound one's output unchanged
+    assert steps[4][2] == (GOLDEN / "curve_peak4.csv").read_text(encoding="utf-8")

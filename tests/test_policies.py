@@ -36,6 +36,7 @@ from matchplay import (
     gain_curve,
     make_distribution,
     propagate_policy,
+    simulate_match,
     solve,
     table_policy,
 )
@@ -139,9 +140,17 @@ class TestAsPolicy:
         assert policy.decide(4, -1, False) is Action.OFF
         assert policy.decide(4, 1, False) is Action.DEF
 
-    def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            as_policy(42)
+    def test_rejects_other_types(self, chess):
+        for bad in (42, None, 3.5):
+            for call in (
+                lambda: as_policy(bad),
+                lambda: exact_policy_gain(chess, bad, 3),
+                lambda: estimate_gain(chess, bad, 3, 10),
+                lambda: simulate_match(chess, bad, 3, 0),
+                lambda: propagate_policy(chess, bad, 3),
+            ):
+                with pytest.raises(InvalidPolicy, match="cannot interpret"):
+                    call()
 
     def test_non_actions_raise_a_library_error(self, chess):
         for bad in (
