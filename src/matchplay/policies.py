@@ -153,11 +153,15 @@ class _FunctionPolicy(Policy):
         return _coerce_action(self.fn(games_remaining, score, has_led))
 
     def decide_row(self, games_remaining, scores, has_led):
-        return np.fromiter(
-            (self.decide(games_remaining, int(x), has_led) is Action.OFF for x in scores),
+        # one call per distinct score: a Monte Carlo row repeats each score
+        # many times, and a plain callable is a pure function of its inputs
+        distinct, where = np.unique(scores, return_inverse=True)
+        offense = np.fromiter(
+            (self.decide(games_remaining, int(x), has_led) is Action.OFF for x in distinct),
             dtype=bool,
-            count=len(scores),
+            count=len(distinct),
         )
+        return offense[where]
 
 
 def fixed_policy(action) -> FixedPolicy:
@@ -414,26 +418,35 @@ def brute_force_optimal(spec: MatchSpec, n_games: int) -> float:
     def best_from(played: int, mass: dict[int, int]) -> int:
         # mass maps undecided scores to integer weights over SCALE**played;
         # the return value is in units of SCALE**n
-        if played == n or not mass:
-            return 0
         left = n - played
-        cells = sorted(mass)
+        unit = scale_pow[left - 1]
+        # each cell's settled value and undecided children under each style,
+        # built once per node and combined for every joint choice below
+        settled, children = [], []
+        for x, m in sorted(mass.items()):
+            cell_settled, cell_children = [], []
+            for units in styles:
+                value, kids = 0, []
+                for cx, u in zip((x + 1, x, x - 1), units):
+                    if u and abs(cx) >= left:
+                        value += (m * u if cx > 0 else -m * u) * unit
+                    elif u:
+                        kids.append((cx, m * u))
+                cell_settled.append(value)
+                cell_children.append(kids)
+            settled.append(cell_settled)
+            children.append(cell_children)
+        totals = map(sum, itertools.product(*settled))
+        if left == 1:
+            # the last game leaves every child settled or level, worth 0
+            return max(totals)
         best = None
-        for choice in itertools.product(styles, repeat=len(cells)):
-            settled = 0
-            children: dict[int, int] = {}
-            for x, (w, d, l) in zip(cells, choice):
-                m = mass[x]
-                for dx, units in ((1, w), (0, d), (-1, l)):
-                    if units == 0:
-                        continue
-                    cx = x + dx
-                    cm = m * units
-                    if abs(cx) > left - 1:
-                        settled += (cm if cx > 0 else -cm) * scale_pow[left - 1]
-                    else:
-                        children[cx] = children.get(cx, 0) + cm
-            value = settled + best_from(played + 1, children)
+        for total, choice in zip(totals, itertools.product(*children)):
+            merged: dict[int, int] = {}
+            for kids in choice:
+                for cx, cm in kids:
+                    merged[cx] = merged.get(cx, 0) + cm
+            value = total + (best_from(played + 1, merged) if merged else 0)
             if best is None or value > best:
                 best = value
         return best

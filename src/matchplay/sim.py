@@ -6,6 +6,16 @@ consumes the i-th value of that substream. A sample's outcome therefore
 depends only on (seed, sample index, round index), so estimates are
 reproducible bit-for-bit regardless of how samples are batched or
 partitioned across workers.
+
+Each round of the batched evaluator is branch-free. The policy's offense
+mask selects between the two styles' outcomes with boolean algebra,
+``(mask & off) | (def & ~mask)``, over comparisons of the uniforms with each
+style's thresholds: a comparison or a boolean ``&`` costs a few microseconds
+on a 20,000-sample row, where a ``np.where`` on a random mask costs over
+a hundred. A sample wins when u < win and loses when u >= win + draw, the
+sum formed in Python floats as the one-match rule forms it; since
+u < win implies u < win + draw, no sample does both, and the signs equal
+those of one match replayed at a time (the tests pin this byte for byte).
 """
 
 from __future__ import annotations
@@ -58,9 +68,14 @@ def simulate_match(spec: MatchSpec, policy, n_games: int, stream=None) -> int:
     return (score > 0) - (score < 0)
 
 
-def _round_uniforms(seed: int, round_index: int, count: int, offset: int = 0) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=seed).jumped(round_index))
+def _round_uniforms(bitgen: np.random.Philox, round_index: int, count: int, offset: int = 0):
+    # jumped() returns a copy, so one keyed generator serves every round
+    gen = np.random.Generator(bitgen.jumped(round_index))
     return gen.random(offset + count)[offset:]
+
+
+def _pick(mask: np.ndarray, if_true: np.ndarray, if_false: np.ndarray) -> np.ndarray:
+    return (mask & if_true) | (if_false & ~mask)
 
 
 def _final_signs(
@@ -73,24 +88,31 @@ def _final_signs(
 ) -> np.ndarray:
     """Final score signs of samples [offset, offset + samples) for this seed."""
     policy = as_policy(policy)
-    off_w, off_d = spec.offense.win, spec.offense.draw
-    def_w, def_d = spec.defense.win, spec.defense.draw
-    scores = np.zeros(samples, dtype=np.int64)
-    has_led = np.zeros(samples, dtype=bool)
+    off_w, def_w = spec.offense.win, spec.defense.win
+    # the same IEEE sums the scalar rule "draw if u < win + draw" forms
+    off_wd, def_wd = off_w + spec.offense.draw, def_w + spec.defense.draw
+    try:
+        scores = np.zeros(samples, dtype=np.int64)
+    except (MemoryError, ValueError):
+        raise InvalidSampleCount(
+            f"{samples} samples need {8 * samples} bytes for one score array, "
+            "more than can be allocated"
+        ) from None
+    flagged = policy.uses_lead_flag
+    has_led = np.zeros(samples, dtype=bool) if flagged else None
+    bitgen = np.random.Philox(key=seed)
     for played in range(n_games):
         remaining = n_games - played
-        if policy.uses_lead_flag:
-            mask_fresh = policy.decide_row(remaining, scores, False)
-            mask_led = policy.decide_row(remaining, scores, True)
-            offense_mask = np.where(has_led, mask_led, mask_fresh)
-        else:
-            offense_mask = policy.decide_row(remaining, scores, False)
-        win = np.where(offense_mask, off_w, def_w)
-        win_or_draw = win + np.where(offense_mask, off_d, def_d)
-        u = _round_uniforms(seed, played, samples, offset)
-        # fixed comparison order: win first, then draw
-        scores += np.where(u < win, 1, np.where(u < win_or_draw, 0, -1))
-        has_led |= scores >= 1
+        offense = np.asarray(policy.decide_row(remaining, scores, False), dtype=bool)
+        if flagged:
+            led = np.asarray(policy.decide_row(remaining, scores, True), dtype=bool)
+            offense = _pick(has_led, led, offense)
+        u = _round_uniforms(bitgen, played, samples, offset)
+        # u < win implies u < win + draw, so a round never both wins and loses
+        scores += _pick(offense, u < off_w, u < def_w)
+        scores -= _pick(offense, u >= off_wd, u >= def_wd)
+        if flagged:
+            has_led |= scores >= 1
     return np.sign(scores)
 
 

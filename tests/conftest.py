@@ -1,5 +1,5 @@
-"""Shared fixtures: reference match specs, two reference Bellman sweeps, and a
-fresh-interpreter runner."""
+"""Shared fixtures: reference match specs, two reference Bellman sweeps, a
+one-sample-at-a-time Monte Carlo replay, and a fresh-interpreter runner."""
 
 from __future__ import annotations
 
@@ -9,11 +9,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import matchplay
-from matchplay import MatchSpec
-from matchplay.policies import _ORACLE_SCALE, _scaled_probs
+from matchplay import Action, MatchSpec
+from matchplay.policies import _ORACLE_SCALE, _scaled_probs, as_policy
 
 # the running two-game example: a clearly losing offense against a drawish
 # defense, where switching styles still forces a positive expected sign
@@ -102,6 +103,35 @@ def exact_bellman_gains(spec: MatchSpec, n_max: int) -> list[Fraction]:
         scale *= _ORACLE_SCALE
         gains.append(Fraction(row[0], scale))
     return gains
+
+
+def reference_final_signs(spec: MatchSpec, policy, n_games: int, samples: int, seed: int, offset=0):
+    """Final score signs of samples [offset, offset + samples), one match at a time.
+
+    Round r draws the uniforms of ``Philox(key=seed).jumped(r)`` and sample i
+    takes the i-th of them, as ``sim._final_signs`` does; each game asks the
+    scalar ``policy.decide`` for a style and scores it by the rule "win if
+    u < w, else draw if u < w + d, else loss" in Python floats.
+    """
+    policy = as_policy(policy)
+    uniforms = []
+    for r in range(n_games):
+        gen = np.random.Generator(np.random.Philox(key=seed).jumped(r))
+        uniforms.append(gen.random(offset + samples)[offset:].tolist())
+    signs = []
+    for i in range(samples):
+        score, led = 0, False
+        for played in range(n_games):
+            action = policy.decide(n_games - played, score, led)
+            style = spec.offense if action is Action.OFF else spec.defense
+            u = uniforms[played][i]
+            if u < style.win:
+                score += 1
+            elif not u < style.win + style.draw:
+                score -= 1
+            led = led or score >= 1
+        signs.append((score > 0) - (score < 0))
+    return np.array(signs, dtype=np.int64)
 
 
 @pytest.fixture(scope="session")

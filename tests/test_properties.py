@@ -5,7 +5,8 @@ reference of the same recursion, over the undecided band and over the full
 reachable triangle, and the solver against the exhaustive oracle on
 short-decimal specs. The forward evaluator is checked against the trinomial
 closed form, the one-pass protect-the-lead curves bit for bit against
-evaluating each horizon, and Monte Carlo estimates against exact gains.
+evaluating each horizon, and Monte Carlo estimates against exact gains and
+byte for byte against a one-match-at-a-time replay of the same streams.
 Examples are derandomized, so every run draws the same specs.
 """
 
@@ -29,8 +30,9 @@ from matchplay import (
     table_policy,
 )
 from matchplay.dp import _bellman_sweep
+from matchplay.sim import _final_signs
 
-from conftest import reference_sweep
+from conftest import reference_final_signs, reference_sweep
 
 EXACT_TOL = 1e-12
 FORMULA_TOL = 1e-10
@@ -133,3 +135,20 @@ def test_monte_carlo_lies_within_five_sigma_of_the_exact_gain(spec, n, seed):
         # exact gains lie in [-1, 1], so the variance bound is never negative
         sigma = np.sqrt((1 - exact**2) / samples)
         assert abs(estimate.mean - exact) <= 5 * sigma + EXACT_TOL
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(
+    spec=specs(),
+    n=st.integers(1, 25),
+    seed=st.integers(0, 2**128 - 1),
+    offset=st.integers(0, 100),
+    samples=st.integers(1, 60),
+)
+def test_monte_carlo_signs_match_the_scalar_replay_byte_for_byte(spec, n, seed, offset, samples):
+    table = table_policy(solve(spec, n).policy)
+    for policy in ("Off", "Def", cat_policy(), cat_plus_policy(spec), table):
+        got = _final_signs(spec, policy, n, samples, seed, offset)
+        want = reference_final_signs(spec, policy, n, samples, seed, offset)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

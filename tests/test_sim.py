@@ -10,6 +10,8 @@ import pytest
 from matchplay import (
     InvalidSampleCount,
     InvalidSeed,
+    Policy,
+    cat_plus_policy,
     cat_policy,
     estimate_gain,
     exact_policy_gain,
@@ -20,7 +22,14 @@ from matchplay import (
 )
 from matchplay.sim import _final_signs
 
-from conftest import make_spec
+from conftest import make_spec, reference_final_signs
+
+
+class Int8Mask(Policy):
+    """Offense while level or behind before the first lead, as an int8 0/1 mask."""
+
+    def decide_row(self, games_remaining, scores, has_led):
+        return ((np.asarray(scores) <= 0) & (not has_led)).astype(np.int8)
 
 
 class TestSimulateMatch:
@@ -114,11 +123,38 @@ class TestEstimateGain:
         est = estimate_gain(chess, table_policy(result.policy), 5, 40_000, seed=13)
         assert abs(est.mean - result.gain) <= 5.0 * est.std_error
 
-    def test_vector_path_agrees_with_scalar_replay(self, chess):
-        # the batched evaluator and the one-match scalar path must see the
-        # same decision rule; compare distributions loosely via the mean
-        n, count = 4, 4_000
-        signs = _final_signs(chess, cat_policy(), n, count, seed=21)
-        scalar_mean = float(np.mean(signs))
-        exact = exact_policy_gain(chess, cat_policy(), n)
-        assert abs(scalar_mean - exact) <= 0.05
+    def test_sample_count_beyond_memory_is_refused(self, chess):
+        # numpy refuses an array this large before touching any memory
+        with pytest.raises(InvalidSampleCount, match=str(8 * 2**62)):
+            estimate_gain(chess, "off", 2, 2**62)
+
+    def test_vector_path_agrees_with_scalar_replay(self, chess, grind):
+        # byte for byte against one match at a time through the scalar decide
+        def chase(games_remaining, score, has_led):
+            return "off" if score < 0 or (score == 0 and games_remaining > 2) else "def"
+
+        n, count = 9, 300
+        for spec in (chess, grind):
+            table = table_policy(solve(spec, n).policy)
+            catplus = cat_plus_policy(spec)
+            for policy in ("off", "Def", cat_policy(), catplus, table, chase, Int8Mask()):
+                for offset in (0, 37):
+                    got = _final_signs(spec, policy, n, count, seed=21, offset=offset)
+                    want = reference_final_signs(spec, policy, n, count, 21, offset)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (policy, offset)
+
+    def test_callable_is_called_once_per_distinct_score(self, chess):
+        calls = []
+
+        def chase(games_remaining, score, has_led):
+            calls.append((games_remaining, score, has_led))
+            return "off" if score <= 0 else "def"
+
+        n, count = 8, 5_000
+        signs = _final_signs(chess, chase, n, count, seed=4)
+        assert len(calls) == len(set(calls))
+        # after t games at most 2t + 1 scores are present, each asked with and without a lead
+        assert len(calls) <= 2 * sum(2 * t + 1 for t in range(n))
+        calls.clear()
+        assert signs.tobytes() == reference_final_signs(chess, chase, n, count, 4).tobytes()
