@@ -156,5 +156,4 @@ class TestEstimateGain:
         assert len(calls) == len(set(calls))
         # after t games at most 2t + 1 scores are present, each asked with and without a lead
         assert len(calls) <= 2 * sum(2 * t + 1 for t in range(n))
-        calls.clear()
         assert signs.tobytes() == reference_final_signs(chess, chase, n, count, 4).tobytes()
