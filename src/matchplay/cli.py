@@ -175,8 +175,8 @@ def _cmd_verify(args) -> int:
     for check in checks:
         print(check.line())
     if args.out:
-        rows = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks]
-        _emit(rows, ("name", "passed", "detail"), args)
+        columns = ("name", "passed", "detail", "seconds")
+        _emit([{col: getattr(c, col) for col in columns} for c in checks], columns, args)
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY
 
 

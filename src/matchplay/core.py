@@ -146,9 +146,23 @@ class MatchSpec:
         return cls(StyleDistribution(pw, pd, pl), StyleDistribution(qw, qd, ql))
 
 
+def require_instance(value, kind: type):
+    """Return ``value`` if it is a ``kind``, or raise that kind's input error.
+
+    A stand-in for a ``MatchSpec`` (a tuple of six probabilities, say) raises
+    ``InvalidMatchSpec``, one for a ``StyleDistribution`` raises
+    ``InvalidProbability``. The check is one ``isinstance``, so entry points
+    on hot paths pay nothing for it.
+    """
+    if isinstance(value, kind):
+        return value
+    error = InvalidMatchSpec if kind is MatchSpec else InvalidProbability
+    raise error(f"expected a {kind.__name__}, got {value!r}")
+
+
 def classify(spec: MatchSpec) -> Classification:
     """Return the cached classification of ``spec``."""
-    return spec.classification
+    return require_instance(spec, MatchSpec).classification
 
 
 def hitting_probability(style: StyleDistribution) -> float:
@@ -158,6 +172,7 @@ def hitting_probability(style: StyleDistribution) -> float:
     as often as it loses (or never loses while winning sometimes), and
     win/loss for the strictly losing case.
     """
+    require_instance(style, StyleDistribution)
     w, l = style.win, style.loss
     if w <= 0.0:
         return 0.0
@@ -191,7 +206,7 @@ def cat_limit(spec: MatchSpec) -> float:
     sure-draw defense (lead frozen forever) and h - 1 for a fair one (the
     post-switch walk ends positive or negative with equal chance).
     """
-    cls = spec.classification
+    cls = require_instance(spec, MatchSpec).classification
     if not cls.weak:
         raise RegimeNotCovered("no limit is derived unless the player is weak")
     if not (cls.safe_defense or cls.fair_non_safe):
@@ -211,7 +226,7 @@ def optimal_limit(spec: MatchSpec) -> AsymptoticVerdict:
     to 0, and a sure-draw defense to max(0, 2 * win/loss - 1). A fair offense
     or a non-weak player is refused rather than extrapolated.
     """
-    cls = spec.classification
+    cls = require_instance(spec, MatchSpec).classification
     if not cls.weak:
         raise RegimeNotCovered("no limit is derived unless the player is weak")
     offense = spec.offense

@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import analytic
-from .core import POLICY_LABELS, Action, MatchSpec
+from .core import POLICY_LABELS, Action, MatchSpec, require_instance
 from .errors import InvalidPolicy, InvalidState, require_horizon, require_integer
 
 DEFAULT_VALUE_HORIZON_BUDGET = 100_000
@@ -229,6 +229,7 @@ def solve(
     Storing both tables costs O(N^2) memory, so the default budget is
     20,000 stages; raise ``max_horizon`` knowingly.
     """
+    require_instance(spec, MatchSpec)
     n = require_horizon(n_games, max_horizon, DEFAULT_TABLE_HORIZON_BUDGET)
     sweep = _bellman_sweep(spec, n, tables=True)
     values = ValueTable(n, sweep.evaluations, sweep.value_rows)
@@ -250,10 +251,13 @@ def gain_curve(
     "off" and "def" (fixed styles via convolution); a bare string is one
     label. Value-only memory, so the default budget is 100,000 stages.
     """
+    require_instance(spec, MatchSpec)
     n = require_horizon(n_max, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
     # a bare string, None or another non-iterable is one label
     single = isinstance(policies, str) or not isinstance(policies, Iterable)
     labels = list(dict.fromkeys([policies] if single else policies))
+    if not labels:
+        raise InvalidPolicy(f"no policy labels given; choose from {POLICY_LABELS}")
     unknown = [label for label in labels if label not in POLICY_LABELS]
     if unknown:
         raise InvalidPolicy(f"unknown policy labels {unknown}; choose from {POLICY_LABELS}")
@@ -283,6 +287,7 @@ def find_optimal_horizon(
     max_horizon: int | None = None,
 ) -> HorizonResult:
     """Horizon in 1..n_max with the largest optimal gain, smallest on ties."""
+    require_instance(spec, MatchSpec)
     n = require_horizon(n_max, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
     gains = _bellman_sweep(spec, n).gains
     best_n = int(np.argmax(gains[1:])) + 1  # argmax keeps the first maximum

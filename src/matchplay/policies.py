@@ -12,7 +12,8 @@ Evaluation is exact: the joint distribution of (score, led yet) is propagated
 forward one game at a time, which costs O(N^2) and no sampling error. Every
 exact forward pass, here and in ``analytic``'s fixed-style convolution, runs
 through one banded stencil, ``analytic.step``, which touches only the
-reachable scores. The trinomial sum in ``analytic`` shares no code with it and
+reachable scores and writes into rows the walk reuses, so a stage allocates
+nothing. The trinomial sum in ``analytic`` shares no code with it and
 serves as the independent check. Every gain is read off a distribution by
 ``analytic.sign_expectation`` and so lies in [-1, 1].
 
@@ -35,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analytic, dp
-from .core import EQ_TOL, Action, MatchSpec
+from .core import EQ_TOL, Action, MatchSpec, require_instance
 from .errors import (
     InvalidOracleInput,
     InvalidPolicy,
@@ -176,6 +177,7 @@ def cat_policy() -> CatPolicy:
 
 def cat_plus_policy(spec: MatchSpec) -> CatPlusPolicy:
     """Protect-the-lead with the drift-better style when the last game is level."""
+    require_instance(spec, MatchSpec)
     return CatPlusPolicy(spec.offense.drift > spec.defense.drift)
 
 
@@ -202,14 +204,33 @@ def _walk(spec: MatchSpec, policy: Policy, n: int, flagged: bool):
 
     With ``flagged`` the layers are (never led, has led); otherwise a single
     layer carries all the mass. Layers have width 2n + 1 and are centred at n.
+
+    The yielded rows are reused: each layer alternates between two rows, so
+    a stage's rows are overwritten two stages later, and a caller that keeps
+    a stage must copy it.
     """
     scores = np.arange(-n, n + 1)
-    layers = [np.zeros(2 * n + 1) for _ in range(1 + flagged)]
+    decide = policy.decide_row
+    # 0-d arrays, not Python floats: a ufunc converts a Python scalar anew on
+    # every call, which is a measurable share of a short stage
+    styles = [tuple(map(np.array, (s.win, s.draw, s.loss))) for s in (spec.offense, spec.defense)]
+    count = 1 + flagged
+    # row views made once: iterating a 2-D array would make new ones each stage
+    rows = list(np.zeros((2 * count + 1, 2 * n + 1)))
+    layers, spare, tmp = rows[:count], rows[count:-1], rows[-1]
     layers[0][n] = 1.0
     yield layers
     for played in range(n):
-        band = scores[n - played : n + played + 1]
-        layers = _play(spec, policy, n - played, layers, band)
+        remaining, band = n - played, scores[n - played : n + played + 1]
+        # the second layer, if any, has led. One expression per layer: no name
+        # keeps the mask or its coefficients alive into the next layer, so
+        # numpy reuses their buffers instead of parking one more per size in
+        # its small-array cache
+        for led, layer, out in zip((False, True), layers, spare):
+            analytic.step(
+                layer, played, *_coefficients(styles, decide(remaining, band, led)), out, tmp
+            )
+        layers, spare = spare, layers
         if flagged:
             # a never-led path can only reach +1 from 0, so one cell moves layers
             not_led, led = layers
@@ -218,31 +239,19 @@ def _walk(spec: MatchSpec, policy: Policy, n: int, flagged: bool):
         yield layers
 
 
-def _play(spec: MatchSpec, policy: Policy, remaining: int, layers, band: np.ndarray):
-    """The layers after one more game; the second layer, if any, has led.
+def _coefficients(styles: list, offense: np.ndarray) -> tuple:
+    """Win, draw, loss coefficients of a band whose cells play ``offense``.
 
-    ``band`` holds the scores [-t, t] reachable after the t games played.
+    ``styles`` holds the (win, draw, loss) of the offense, then the defense.
     """
-    played = len(band) // 2
-    return [
-        analytic.step(layer, played, *_coefficients(spec, policy.decide_row(remaining, band, led)))
-        for led, layer in zip((False, True), layers)
-    ]
-
-
-def _coefficients(spec: MatchSpec, offense: np.ndarray) -> tuple:
-    """Win, draw, loss coefficients of a band whose cells play ``offense``."""
-    off, dfn = spec.offense, spec.defense
+    off, dfn = styles
     count = np.count_nonzero(offense)
     if count == len(offense):
-        return off.win, off.draw, off.loss
+        return off
     if count == 0:
-        return dfn.win, dfn.draw, dfn.loss
-    return (
-        np.where(offense, off.win, dfn.win),
-        np.where(offense, off.draw, dfn.draw),
-        np.where(offense, off.loss, dfn.loss),
-    )
+        return dfn
+    (ow, od, ol), (dw, dd, dl) = off, dfn
+    return np.where(offense, ow, dw), np.where(offense, od, dd), np.where(offense, ol, dl)
 
 
 def exact_policy_gain(
@@ -258,6 +267,7 @@ def exact_policy_gain(
     condition on having led carry a two-layer distribution (never led / has
     led); flag-blind policies use a single layer.
     """
+    require_instance(spec, MatchSpec)
     n = require_horizon(n_games, max_horizon, dp.DEFAULT_VALUE_HORIZON_BUDGET)
     policy = as_policy(policy)
     for layers in _walk(spec, policy, n, policy.uses_lead_flag):
@@ -316,6 +326,7 @@ def propagate_policy(
     Keeps all intermediate stages, so memory is quadratic in the horizon and
     the default budget is 2,000 stages.
     """
+    require_instance(spec, MatchSpec)
     n = require_horizon(n_games, max_horizon, DEFAULT_PROPAGATE_HORIZON_BUDGET)
     stages = [np.stack(layers) for layers in _walk(spec, as_policy(policy), n, True)]
     return AugmentedDistribution(n, stages)
@@ -337,6 +348,7 @@ def lead_policy_curves(
     pass runs. Gains are computed over the reachable score band, and the tests
     pin both curves bit for bit against evaluating each horizon separately.
     """
+    require_instance(spec, MatchSpec)
     n = require_horizon(n_max, max_horizon, dp.DEFAULT_VALUE_HORIZON_BUDGET)
     final = spec.offense if cat_plus_policy(spec).final_offense else spec.defense
     cat_gains = np.zeros(n)
@@ -407,6 +419,7 @@ def brute_force_optimal(spec: MatchSpec, n_games: int) -> float:
     rounded exact optimum. Exponential in the horizon; refuses more than 5
     games. Inputs must be exact multiples of 1e-6.
     """
+    require_instance(spec, MatchSpec)
     n = require_horizon(n_games)
     if n > ORACLE_MAX_HORIZON:
         raise OracleHorizonTooLarge(
@@ -480,6 +493,7 @@ def cat_plus_identity_check(
     Returns both curves and their largest absolute discrepancy so callers can
     tell the two situations apart.
     """
+    require_instance(spec, MatchSpec)
     n = require_horizon(n_max)
     if not spec.classification.safe_defense:
         raise RegimeNotCovered("the gain identity needs a defense that draws surely")

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Action, MatchSpec
+from .core import Action, MatchSpec, require_instance
 from .errors import InvalidSampleCount, InvalidSeed, require_horizon, require_integer, require_seed
 from .policies import as_policy
 
@@ -45,6 +45,7 @@ def simulate_match(spec: MatchSpec, policy, n_games: int, stream=None) -> int:
     ``stream`` may be a numpy Generator, a non-negative integer seed, or None
     for fresh entropy.
     """
+    require_instance(spec, MatchSpec)
     n = require_horizon(n_games)
     policy = as_policy(policy)
     if isinstance(stream, np.random.Generator):
@@ -130,6 +131,7 @@ def estimate_gain(
     the Philox key, an integer in [0, 2**128). The standard error uses the
     unbiased sample variance and is NaN for a single sample.
     """
+    require_instance(spec, MatchSpec)
     n = require_horizon(n_games)
     count = require_integer(samples, InvalidSampleCount, "sample count must be a positive integer")
     key = require_integer(seed, InvalidSeed, "seed must be an integer in [0, 2**128)", 0, 2**128)

@@ -12,12 +12,20 @@ against the closed-form trinomial formulas use 1e-10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import analytic, dp, policies
-from .core import POLICY_LABELS, Action, MatchSpec, StyleDistribution, make_distribution
+from .core import (
+    POLICY_LABELS,
+    Action,
+    MatchSpec,
+    StyleDistribution,
+    make_distribution,
+    require_instance,
+)
 from .errors import InvalidOracleInput, InvalidSampleCount, require_integer, require_seed
 
 EXACT_TOL = 1e-12
@@ -96,11 +104,16 @@ CHESS = SPEC_GRID[0]
 
 @dataclass(frozen=True)
 class Check:
-    """One verification outcome: a name, a verdict, and a compact detail."""
+    """One verification outcome: a name, a verdict, a compact detail, a duration.
+
+    ``seconds`` is the wall time of the check, which ``run_checks`` fills in.
+    ``line`` leaves it out, so the printed lines stay byte-stable.
+    """
 
     name: str
     passed: bool
     detail: str
+    seconds: float = field(default=0.0, compare=False)
 
     def line(self) -> str:
         return f"{self.name}={self.detail} {'PASS' if self.passed else 'FAIL'}"
@@ -347,27 +360,37 @@ def _check_user_spec(spec: MatchSpec) -> Check:
 
 
 def run_checks(user_spec: MatchSpec | None = None, seed: int = 0, draws: int = 100) -> list[Check]:
-    """Run the whole checklist; randomized checks use ``draws`` samples each."""
+    """Run the whole checklist; randomized checks use ``draws`` samples each.
+
+    Each returned check carries its own wall time in ``seconds``.
+    """
     rng = np.random.default_rng(require_seed(seed))
     draws = require_integer(draws, InvalidSampleCount, "draws must be a positive integer")
-    checks = [
-        _check_g2_chess(),
-        _check_score_monotonicity(),
-        _check_benchmark_floor(),
-        _check_catplus_over_cat(),
-        _check_fixed_policy_cross_check(),
-        _check_trinomial_convolution(),
-        _check_mass_conservation(),
-        _check_oracle_agreement(),
-        _check_protect_lead_identity(),
-        _check_protect_lead_floor(),
-        _check_dominance_monotonicity(rng, draws),
-        _check_parity_inequality(rng, draws),
-        _check_parity_counterexample(),
-        _check_heavy_defense_nonpositive(rng, draws),
-        _check_fair_defense_floor(rng, draws),
-        _check_safe_defense_monotone(rng, draws),
+    # in this order: the randomized checks share one generator
+    runs = [
+        _check_g2_chess,
+        _check_score_monotonicity,
+        _check_benchmark_floor,
+        _check_catplus_over_cat,
+        _check_fixed_policy_cross_check,
+        _check_trinomial_convolution,
+        _check_mass_conservation,
+        _check_oracle_agreement,
+        _check_protect_lead_identity,
+        _check_protect_lead_floor,
+        lambda: _check_dominance_monotonicity(rng, draws),
+        lambda: _check_parity_inequality(rng, draws),
+        _check_parity_counterexample,
+        lambda: _check_heavy_defense_nonpositive(rng, draws),
+        lambda: _check_fair_defense_floor(rng, draws),
+        lambda: _check_safe_defense_monotone(rng, draws),
     ]
     if user_spec is not None:
-        checks.append(_check_user_spec(user_spec))
+        require_instance(user_spec, MatchSpec)
+        runs.append(lambda: _check_user_spec(user_spec))
+    checks = []
+    for run in runs:
+        start = time.perf_counter()
+        check = run()
+        checks.append(replace(check, seconds=time.perf_counter() - start))
     return checks

@@ -1,4 +1,5 @@
-"""Shared fixtures: reference match specs, two reference Bellman sweeps, a
+"""Shared fixtures: reference match specs, two reference Bellman sweeps, an
+allocating forward stencil and the walk through it, a
 one-sample-at-a-time Monte Carlo replay, and a fresh-interpreter runner."""
 
 from __future__ import annotations
@@ -103,6 +104,61 @@ def exact_bellman_gains(spec: MatchSpec, n_max: int) -> list[Fraction]:
         scale *= _ORACLE_SCALE
         gains.append(Fraction(row[0], scale))
     return gains
+
+
+def reference_step(mass: np.ndarray, games_played: int, w, d, l) -> np.ndarray:
+    """The centred score distribution ``mass`` one game later, as a new array.
+
+    The allocating form of ``analytic.step``: same band, same association
+    ``(win flow + loss flow) + stay flow``, and a fresh zero row per stage
+    instead of a reused one.
+    """
+    width = len(mass)
+    c, t = width // 2, games_played
+    src = mass[c - t : c + t + 1]
+    out = np.zeros(width)
+    # (win flow + loss flow) + stay flow: this association keeps the
+    # distribution bitwise symmetric for fair styles
+    out[c - t + 1 : c + t + 2] = w * src
+    below = out[c - t - 1 : c + t]
+    below += l * src
+    level = out[c - t : c + t + 1]
+    level += d * src
+    return out
+
+
+def reference_stages(spec: MatchSpec, policy, n_games: int, flagged: bool = True) -> list:
+    """Mass layers after 0..n games through ``reference_step``, each stage a new array.
+
+    With ``flagged`` a stage is (never led, has led), as ``propagate_policy``
+    stores it; otherwise one layer. Every cell gets its own coefficient from
+    the policy's offense mask, where the walk passes scalars for a uniform
+    band; a product with the same factor has the same bits either way.
+    """
+    policy = as_policy(policy)
+    n = n_games
+    scores = np.arange(-n, n + 1)
+    off, dfn = spec.offense, spec.defense
+    layers = [np.zeros(2 * n + 1) for _ in range(1 + flagged)]
+    layers[0][n] = 1.0
+    stages = [np.stack(layers)]
+    for played in range(n):
+        band = scores[n - played : n + played + 1]
+        stepped = []
+        for led, layer in zip((False, True), layers):
+            offense = np.asarray(policy.decide_row(n - played, band, led), dtype=bool)
+            w, d, l = (
+                np.where(offense, a, b)
+                for a, b in zip((off.win, off.draw, off.loss), (dfn.win, dfn.draw, dfn.loss))
+            )
+            stepped.append(reference_step(layer, played, w, d, l))
+        layers = stepped
+        if flagged:
+            not_led, led = layers
+            led[n + 1] += not_led[n + 1]
+            not_led[n + 1] = 0.0
+        stages.append(np.stack(layers))
+    return stages
 
 
 def reference_final_signs(spec: MatchSpec, policy, n_games: int, samples: int, seed: int, offset=0):

@@ -8,6 +8,8 @@ other or against tiny hand-enumerable matches.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -24,11 +26,13 @@ from matchplay import (
     hitting_probability,
     make_distribution,
     optimal_limit,
+    propagate_policy,
     score_distribution,
     sign_expectation,
 )
+from matchplay.analytic import step
 
-from conftest import make_spec
+from conftest import make_spec, reference_step
 
 EXACT_TOL = 1e-12
 FORMULA_TOL = 1e-10
@@ -85,6 +89,60 @@ class TestTrinomialAgainstEnumeration:
             pos, draw = enumerate_gain(style, n)
             assert fixed_style_positive_prob(style, n) == pytest.approx(pos, abs=FORMULA_TOL)
             assert fixed_style_draw_prob(style, n) == pytest.approx(draw, abs=FORMULA_TOL)
+
+
+def exact_trinomial(hundredths, n):
+    """P(score > 0) and P(score = 0) after n games, as Fractions.
+
+    ``hundredths`` are the win, draw and loss probabilities in whole
+    hundredths, so every term is exact.
+    """
+    w, d, l = (Fraction(k, 100) for k in hundredths)
+    positive = zero = Fraction(0)
+    for i in range(n + 1):
+        for j in range(n - i + 1):
+            term = comb(n, i) * comb(n - i, j) * w**i * l**j * d ** (n - i - j)
+            if i > j:
+                positive += term
+            elif i == j:
+                zero += term
+    return positive, zero
+
+
+class TestExactTrinomialAnchor:
+    # short decimals, with zero probabilities and a sure draw among them
+    @pytest.mark.parametrize(
+        "hundredths",
+        [(45, 0, 55), (10, 75, 15), (33, 33, 34), (5, 90, 5), (0, 30, 70), (49, 2, 49),
+         (100, 0, 0), (0, 100, 0), (1, 2, 97)],
+    )
+    def test_closed_form_matches_exact_sums(self, hundredths):
+        style = make_distribution(*(k / 100 for k in hundredths))
+        for n in range(1, 31):
+            positive, zero = exact_trinomial(hundredths, n)
+            assert abs(fixed_style_positive_prob(style, n) - float(positive)) <= EXACT_TOL
+            assert abs(fixed_style_draw_prob(style, n) - float(zero)) <= EXACT_TOL
+
+
+class TestStencil:
+    def test_reused_rows_give_the_allocating_result(self):
+        # stale values anywhere in the new band [-t-1, t+1] are overwritten,
+        # and the scratch row's old contents never leak into the result
+        rng = np.random.default_rng(5)
+        n = 6
+        for t in range(n):
+            mass = np.zeros(2 * n + 1)
+            mass[n - t : n + t + 1] = rng.uniform(size=2 * t + 1)
+            out = np.zeros(2 * n + 1)
+            out[n - t - 1 : n + t + 2] = np.nan
+            tmp = np.full(2 * n + 1, np.nan)
+            step(mass, t, 0.3, 0.5, 0.2, out, tmp)
+            assert out.tobytes() == reference_step(mass, t, 0.3, 0.5, 0.2).tobytes()
+
+    def test_returned_arrays_own_their_memory(self, chess):
+        # the walk reuses its rows, so nothing returned may be a view of them
+        assert score_distribution(chess.offense, 9).base is None
+        assert all(stage.base is None for stage in propagate_policy(chess, "Off", 9).stages)
 
 
 class TestConvolutionRoute:

@@ -159,6 +159,23 @@ class TestVerifyCommand:
         assert "g2_chess=0.08 PASS" in lines
         assert all(line.endswith((" PASS", " FAIL")) for line in lines)
 
+    def test_out_rows_carry_durations_and_stdout_keeps_its_lines(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import matchplay.verify
+
+        real = matchplay.verify.run_checks
+        monkeypatch.setattr(matchplay.verify, "run_checks", lambda **kw: real(**kw, draws=5))
+        target = tmp_path / "verify.csv"
+        code, out, _ = run(capsys, "verify", "--out", str(target))
+        assert code == 0
+        header, *rows = target.read_text(encoding="utf-8").splitlines()
+        assert header == "name,passed,detail,seconds"
+        cells = [row.split(",") for row in rows]
+        assert all(passed == "true" and float(seconds) >= 0.0 for _, passed, _, seconds in cells)
+        # seconds is the one column that changes from run to run; stdout leaves it out
+        assert out.splitlines() == [f"{name}={detail} PASS" for name, _, detail, _ in cells]
+
     def test_partial_spec_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--pw", "0.4")
         assert code == 2 and "all six probabilities" in err

@@ -14,10 +14,32 @@ from matchplay import (
     InvalidProbability,
     MatchSpec,
     StyleDistribution,
+    brute_force_optimal,
+    cat_gain_curve,
+    cat_limit,
+    cat_plus_gain_curve,
+    cat_plus_identity_check,
+    cat_plus_policy,
     classify,
     dominates,
+    estimate_gain,
+    exact_policy_gain,
+    find_optimal_horizon,
+    fixed_style_draw_prob,
+    fixed_style_gain,
+    fixed_style_gain_curve,
+    fixed_style_positive_prob,
+    gain_curve,
+    hitting_probability,
+    lead_policy_curves,
     make_distribution,
+    optimal_limit,
+    propagate_policy,
+    score_distribution,
+    simulate_match,
+    solve,
 )
+from matchplay.verify import run_checks
 
 from conftest import make_spec
 
@@ -159,3 +181,43 @@ class TestClassification:
 def test_action_values():
     assert Action.OFF.value == "Off"
     assert Action.DEF.value == "Def"
+
+
+# an entry point that takes a spec or a style, given the bare probabilities
+SPEC_TUPLE = (0.45, 0.0, 0.55, 0.1, 0.75, 0.15)
+STYLE_TUPLE = (0.45, 0.0, 0.55)
+NON_INSTANCE_CALLS = {
+    "solve": lambda: solve(SPEC_TUPLE, 3),
+    "gain_curve": lambda: gain_curve(SPEC_TUPLE, 3),
+    "find_optimal_horizon": lambda: find_optimal_horizon(SPEC_TUPLE, 3),
+    "exact_policy_gain": lambda: exact_policy_gain(SPEC_TUPLE, "Off", 3),
+    "propagate_policy": lambda: propagate_policy(SPEC_TUPLE, "Off", 3),
+    "lead_policy_curves": lambda: lead_policy_curves(SPEC_TUPLE, 3),
+    "cat_gain_curve": lambda: cat_gain_curve(SPEC_TUPLE, 3),
+    "cat_plus_gain_curve": lambda: cat_plus_gain_curve(SPEC_TUPLE, 3),
+    "cat_plus_policy": lambda: cat_plus_policy(SPEC_TUPLE),
+    "cat_plus_identity_check": lambda: cat_plus_identity_check(SPEC_TUPLE, 3),
+    "brute_force_optimal": lambda: brute_force_optimal(SPEC_TUPLE, 3),
+    "estimate_gain": lambda: estimate_gain(SPEC_TUPLE, "Off", 3, 10),
+    "simulate_match": lambda: simulate_match(SPEC_TUPLE, "Off", 3, 0),
+    "run_checks": lambda: run_checks(user_spec=SPEC_TUPLE, draws=1),
+    "classify": lambda: classify(SPEC_TUPLE),
+    "cat_limit": lambda: cat_limit(SPEC_TUPLE),
+    "optimal_limit": lambda: optimal_limit(SPEC_TUPLE),
+    "fixed_style_positive_prob": lambda: fixed_style_positive_prob(STYLE_TUPLE, 3),
+    "fixed_style_draw_prob": lambda: fixed_style_draw_prob(STYLE_TUPLE, 3),
+    "fixed_style_gain": lambda: fixed_style_gain(STYLE_TUPLE, 3),
+    "score_distribution": lambda: score_distribution(STYLE_TUPLE, 3),
+    "fixed_style_gain_curve": lambda: fixed_style_gain_curve(STYLE_TUPLE, 3),
+    "hitting_probability": lambda: hitting_probability(STYLE_TUPLE),
+    "spec_as_style": lambda: fixed_style_gain(MatchSpec.from_probs(*SPEC_TUPLE), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INSTANCE_CALLS))
+def test_entry_points_refuse_stand_ins_with_a_library_error(name):
+    style_taking = "style" in name or name in ("score_distribution", "hitting_probability")
+    error = InvalidProbability if style_taking else InvalidMatchSpec
+    kind = "StyleDistribution" if style_taking else "MatchSpec"
+    with pytest.raises(error, match=f"expected a {kind}, got"):
+        NON_INSTANCE_CALLS[name]()

@@ -195,6 +195,12 @@ class TestGainCurve:
             gain_curve(chess, 4, labels)
         assert isinstance(info.value, MatchPlayError)
 
+    @pytest.mark.parametrize("labels", [[], ()])
+    def test_no_labels_rejected_with_the_accepted_ones(self, chess, labels):
+        with pytest.raises(InvalidPolicy, match="no policy labels given") as info:
+            gain_curve(chess, 4, labels)
+        assert all(label in str(info.value) for label in POLICY_LABELS)
+
     def test_optimal_dominates_benchmarks(self, chess):
         curve = gain_curve(chess, 40, POLICY_LABELS).gains
         best = curve["optimal"]

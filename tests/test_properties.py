@@ -3,8 +3,9 @@
 The Bellman sweep is checked byte for byte against a per-cell Python
 reference of the same recursion, over the undecided band and over the full
 reachable triangle, and the solver against the exhaustive oracle on
-short-decimal specs. The forward evaluator is checked against the trinomial
-closed form, the one-pass protect-the-lead curves bit for bit against
+short-decimal specs. The forward evaluator is checked byte for byte against
+a walk through the allocating reference stencil, and against the trinomial
+closed form; the one-pass protect-the-lead curves bit for bit against
 evaluating each horizon, and Monte Carlo estimates against exact gains and
 byte for byte against a one-match-at-a-time replay of the same streams.
 Examples are derandomized, so every run draws the same specs.
@@ -25,14 +26,24 @@ from matchplay import (
     estimate_gain,
     exact_policy_gain,
     fixed_style_gain,
+    fixed_style_gain_curve,
     lead_policy_curves,
+    propagate_policy,
+    score_distribution,
+    sign_expectation,
     solve,
     table_policy,
 )
 from matchplay.dp import _bellman_sweep
+from matchplay.policies import as_policy
 from matchplay.sim import _final_signs
 
-from conftest import reference_final_signs, reference_sweep
+from conftest import (
+    reference_final_signs,
+    reference_stages,
+    reference_step,
+    reference_sweep,
+)
 
 EXACT_TOL = 1e-12
 FORMULA_TOL = 1e-10
@@ -102,6 +113,37 @@ def test_sweep_matches_the_per_cell_reference_bit_for_bit(prune, spec, n):
 @given(spec=short_decimal_specs(), n=st.integers(1, 4))
 def test_solver_matches_the_exhaustive_oracle(spec, n):
     assert abs(solve(spec, n).gain - brute_force_optimal(spec, n)) <= EXACT_TOL
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(spec=specs(), n=st.integers(1, 40))
+def test_forward_walks_match_the_allocating_reference_byte_for_byte(spec, n):
+    # the walk reuses its rows; every stage must equal a walk on fresh rows
+    def chase_until_ahead_late(remaining, score, has_led):
+        return "Def" if has_led or (score > 0 and remaining <= 3) else "Off"
+
+    table = table_policy(solve(spec, n).policy)
+    policies = ("Off", "Def", cat_policy(), cat_plus_policy(spec), table, chase_until_ahead_late)
+    for policy in policies:
+        stages = propagate_policy(spec, policy, n).stages
+        want = reference_stages(spec, policy, n)
+        assert len(stages) == len(want) == n + 1
+        for got, ref in zip(stages, want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        flagged = as_policy(policy).uses_lead_flag
+        final = reference_stages(spec, policy, n, flagged)[-1].sum(axis=0)
+        exact = np.float64(exact_policy_gain(spec, policy, n))
+        assert exact.tobytes() == np.float64(sign_expectation(final, n)).tobytes()
+    for style in (spec.offense, spec.defense):
+        mass = np.zeros(2 * n + 1)
+        mass[n] = 1.0
+        gains = []
+        for played in range(n):
+            mass = reference_step(mass, played, style.win, style.draw, style.loss)
+            gains.append(sign_expectation(mass, n))
+        assert fixed_style_gain_curve(style, n).tobytes() == np.array(gains).tobytes()
+        assert score_distribution(style, n).tobytes() == mass.tobytes()
 
 
 @settings(PROPERTY_SETTINGS, max_examples=40)

@@ -10,6 +10,7 @@ import matchplay.policies
 from matchplay import InvalidSampleCount, InvalidSeed, MatchSpec
 from matchplay.verify import (
     IDENTITY_OFFENSES,
+    Check,
     LEAD_FLOOR_OFFENSES,
     SPEC_GRID,
     run_checks,
@@ -41,6 +42,15 @@ class TestChecklist:
     def test_two_game_anchor_line(self, checks):
         lines = {c.name: c.line() for c in checks}
         assert lines["g2_chess"] == "g2_chess=0.08 PASS"
+
+    def test_every_check_reports_its_duration(self, checks):
+        assert all(isinstance(c.seconds, float) and c.seconds >= 0.0 for c in checks)
+        assert sum(c.seconds for c in checks) > 0.0
+
+    def test_duration_stays_out_of_the_line_and_of_equality(self):
+        quick, slow = Check("x", True, "1"), Check("x", True, "1", seconds=2.5)
+        assert quick == slow
+        assert quick.line() == slow.line() == "x=1 PASS"
 
     def test_seed_stable(self):
         a = [c.line() for c in run_checks(seed=1, draws=10)]
