@@ -5,6 +5,11 @@ game is played in the same style: a direct trinomial sum over (wins, losses)
 counts and a stage-by-stage convolution of the one-game step. The redundancy
 is deliberate, the test suite plays the routes against each other.
 
+The convolution is ``walk``, the package's one forward loop and the only
+caller of the stencil ``step``. Its caller chooses each stage's coefficients:
+the fixed styles here pass constants, and every policy evaluation in
+``policies`` runs through the same walk.
+
 The long-match limits (``hitting_probability``, ``cat_limit``,
 ``optimal_limit`` and their ``Regime`` and ``AsymptoticVerdict`` types) are
 plain float arithmetic and live in ``core``, which needs no numpy; this module
@@ -73,6 +78,52 @@ def step(mass: np.ndarray, games_played: int, w, d, l, out: np.ndarray, tmp: np.
     level = out[c - t : c + t + 1]
     np.multiply(src, d, out=flow)
     np.add(level, flow, out=level)
+
+
+def style_coefficients(style: StyleDistribution) -> tuple:
+    """The (win, draw, loss) of ``style`` as 0-d arrays, for ``step`` and the sweep.
+
+    0-d arrays, not Python floats: a ufunc converts a Python scalar anew on
+    every call, which is a measurable share of a short stage.
+    """
+    return tuple(map(np.array, (style.win, style.draw, style.loss)))
+
+
+def walk(n: int, coefficients, flagged: bool = False):
+    """Yield the mass layers after 0..n games of an ``n``-game match.
+
+    ``coefficients(games_remaining, band, has_led)`` returns the (win, draw,
+    loss) of the scores ``band`` reachable at that stage, each a scalar or an
+    array over the band. With ``flagged`` the layers are (never led, has led),
+    and a path moves to the second layer the first time its score turns
+    positive; otherwise a single layer carries all the mass and ``has_led``
+    is False. Layers have width 2n + 1 and are centred at n.
+
+    The yielded rows are reused: each layer alternates between two rows, so
+    a stage's rows are overwritten two stages later, and a caller that keeps
+    a stage must copy it.
+    """
+    scores = np.arange(-n, n + 1)
+    count = 1 + flagged
+    # row views made once: iterating a 2-D array would make new ones each stage
+    rows = list(np.zeros((2 * count + 1, 2 * n + 1)))
+    layers, spare, tmp = rows[:count], rows[count:-1], rows[-1]
+    layers[0][n] = 1.0
+    yield layers
+    for played in range(n):
+        remaining, band = n - played, scores[n - played : n + played + 1]
+        # one expression per layer: no name keeps the coefficients alive into
+        # the next layer, so numpy reuses their buffers instead of parking one
+        # more per size in its small-array cache
+        for led, layer, out in zip((False, True), layers, spare):
+            step(layer, played, *coefficients(remaining, band, led), out, tmp)
+        layers, spare = spare, layers
+        if flagged:
+            # a never-led path can only reach +1 from 0, so one cell moves layers
+            not_led, led = layers
+            led[n + 1] += not_led[n + 1]
+            not_led[n + 1] = 0.0
+        yield layers
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -170,25 +221,6 @@ def fixed_style_gain(style: StyleDistribution, n_games: int) -> float:
     return fixed_style_positive_prob(style, n) - fixed_style_positive_prob(style.mirror(), n)
 
 
-def _convolve_steps(style: StyleDistribution, n_games: int, record_gains: bool):
-    n = n_games
-    # two rows in turn plus scratch; each is its own array, so the final
-    # mass owns its memory
-    mass, spare, tmp = np.zeros(2 * n + 1), np.zeros(2 * n + 1), np.empty(2 * n + 1)
-    mass[n] = 1.0
-    # 0-d arrays, which a ufunc takes without converting them on each call
-    w, d, l = map(np.array, (style.win, style.draw, style.loss))
-    gains = np.zeros(n) if record_gains else None
-    for played in range(n):
-        step(mass, played, w, d, l, spare, tmp)
-        mass, spare = spare, mass
-        if record_gains:
-            # the full width is summed on purpose: a band-only sum changes the
-            # pairwise summation order and with it the last bits
-            gains[played] = sign_expectation(mass, n)
-    return mass, gains
-
-
 def score_distribution(style: StyleDistribution, n_games: int) -> np.ndarray:
     """Distribution of the final score via repeated one-game convolution.
 
@@ -197,13 +229,20 @@ def score_distribution(style: StyleDistribution, n_games: int) -> np.ndarray:
     """
     require_instance(style, StyleDistribution)
     n = require_horizon(n_games)
-    mass, _ = _convolve_steps(style, n, record_gains=False)
-    return mass
+    coefficients = style_coefficients(style)
+    for (mass,) in walk(n, lambda *_: coefficients):
+        pass
+    # the walk reuses its rows; a copy owns its memory
+    return mass.copy()
 
 
 def fixed_style_gain_curve(style: StyleDistribution, n_max: int) -> np.ndarray:
     """Expected final-score sign for every match length 1..n_max, in one pass."""
     require_instance(style, StyleDistribution)
     n = require_horizon(n_max)
-    _, gains = _convolve_steps(style, n, record_gains=True)
-    return gains
+    coefficients = style_coefficients(style)
+    stages = walk(n, lambda *_: coefficients)
+    next(stages)  # the start, before any game
+    # the full width is summed on purpose: a band-only sum changes the
+    # pairwise summation order and with it the last bits
+    return np.fromiter((sign_expectation(mass, n) for (mass,) in stages), float, n)

@@ -64,12 +64,8 @@ def _bellman_sweep(
     (``minimum`` then ``maximum``) instead of ``np.clip``, which costs several
     times more per call and gives the same bits on non-NaN input.
     """
-    # 0-d arrays, not Python floats: a ufunc converts a Python scalar anew on
-    # every call, which is a measurable share of a short stage
-    pw, pd, pl, qw, qd, ql, ceiling, floor = map(np.array, (
-        spec.offense.win, spec.offense.draw, spec.offense.loss,
-        spec.defense.win, spec.defense.draw, spec.defense.loss, 1.0, -1.0,
-    ))
+    (pw, pd, pl), (qw, qd, ql) = map(analytic.style_coefficients, (spec.offense, spec.defense))
+    ceiling, floor = np.array(1.0), np.array(-1.0)
     center = n_max + 1
     xs = np.arange(-center, center + 1)
     buf = np.sign(xs).astype(np.float64)  # U_0 plus one guard cell per side
@@ -190,9 +186,11 @@ class PolicyTable:
         scores = np.asarray(scores)
         if scores.dtype.kind not in "iu":
             raise InvalidState(f"scores must be integers, got dtype {scores.dtype}")
-        magnitude = np.abs(scores)
-        band = _band(self.horizon, k, int(magnitude.max(initial=0)), 1)
-        return (magnitude <= band) & (self.rows[k - 1].take(scores + band, mode="clip") != 0)
+        # the extremes as Python ints: np.abs and + wrap at a narrow dtype's edge
+        largest = max(int(scores.max(initial=0)), -int(scores.min(initial=0)))
+        band = _band(self.horizon, k, largest, 1)
+        scores = scores.astype(np.int64, copy=False)  # exact: |scores| <= horizon
+        return (np.abs(scores) <= band) & (self.rows[k - 1].take(scores + band, mode="clip") != 0)
 
 
 class SolveResult(NamedTuple):
@@ -255,10 +253,11 @@ def gain_curve(
     n = require_horizon(n_max, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
     # a bare string, None or another non-iterable is one label
     single = isinstance(policies, str) or not isinstance(policies, Iterable)
-    labels = list(dict.fromkeys([policies] if single else policies))
+    labels = [policies] if single else list(policies)
     if not labels:
         raise InvalidPolicy(f"no policy labels given; choose from {POLICY_LABELS}")
-    unknown = [label for label in labels if label not in POLICY_LABELS]
+    # a label that is not a string, a list say, is unknown, not a TypeError
+    unknown = [x for x in labels if not (isinstance(x, str) and x in POLICY_LABELS)]
     if unknown:
         raise InvalidPolicy(f"unknown policy labels {unknown}; choose from {POLICY_LABELS}")
     curves: dict[str, np.ndarray] = {}

@@ -10,18 +10,21 @@ of scores; the scalar ``decide`` is derived from it.
 
 Evaluation is exact: the joint distribution of (score, led yet) is propagated
 forward one game at a time, which costs O(N^2) and no sampling error. Every
-exact forward pass, here and in ``analytic``'s fixed-style convolution, runs
-through one banded stencil, ``analytic.step``, which touches only the
-reachable scores and writes into rows the walk reuses, so a stage allocates
-nothing. The trinomial sum in ``analytic`` shares no code with it and
-serves as the independent check. Every gain is read off a distribution by
+exact forward pass, here and in ``analytic``'s fixed-style convolution, is
+one walk, ``analytic.walk``, through one banded stencil, ``analytic.step``,
+which touches only the reachable scores and writes into rows the walk
+reuses, so a stage allocates nothing. A policy enters the walk as the
+coefficients of the style its offense mask picks for each cell. The
+trinomial sum in ``analytic`` shares no code with the walk and serves as the
+independent check. Every gain is read off a distribution by
 ``analytic.sign_expectation`` and so lies in [-1, 1].
 
 The protect-the-lead curves for all horizons come from one walk under the
-plain rule. The refined rule changes only a level last game, so its curve
-takes the same walk's mass and recomputes the three cells around score 0 at
-each stage; the tests pin both curves bit for bit against evaluating each
-horizon on its own. A separate brute-force oracle enumerates every
+plain rule, which needs no mask: the never-led layer plays offense and the
+led layer defense. The refined rule changes only a level last game, so its
+curve takes the same walk's mass and recomputes the three cells around
+score 0 at each stage; the tests pin both curves bit for bit against
+evaluating each horizon on its own. A separate brute-force oracle enumerates every
 stage-and-score policy with integer arithmetic for tiny horizons and anchors
 the solver tests.
 """
@@ -135,6 +138,8 @@ class TablePolicy(Policy):
     uses_lead_flag = False
 
     def __init__(self, table: dp.PolicyTable):
+        if not isinstance(table, dp.PolicyTable):
+            raise InvalidPolicy(f"expected a solved PolicyTable, got {table!r}")
         self.table = table
 
     def decide_row(self, games_remaining, scores, has_led):
@@ -199,59 +204,25 @@ def as_policy(policy) -> Policy:
     raise InvalidPolicy(f"cannot interpret {policy!r} as a policy")
 
 
-def _walk(spec: MatchSpec, policy: Policy, n: int, flagged: bool):
-    """Yield the mass layers after 0..n games of an ``n``-game match.
+def _coefficients(spec: MatchSpec, policy: Policy):
+    """The coefficients callback of ``analytic.walk`` under ``policy``.
 
-    With ``flagged`` the layers are (never led, has led); otherwise a single
-    layer carries all the mass. Layers have width 2n + 1 and are centred at n.
-
-    The yielded rows are reused: each layer alternates between two rows, so
-    a stage's rows are overwritten two stages later, and a caller that keeps
-    a stage must copy it.
+    Each cell of a band plays the style that the policy's offense mask picks.
     """
-    scores = np.arange(-n, n + 1)
-    decide = policy.decide_row
-    # 0-d arrays, not Python floats: a ufunc converts a Python scalar anew on
-    # every call, which is a measurable share of a short stage
-    styles = [tuple(map(np.array, (s.win, s.draw, s.loss))) for s in (spec.offense, spec.defense)]
-    count = 1 + flagged
-    # row views made once: iterating a 2-D array would make new ones each stage
-    rows = list(np.zeros((2 * count + 1, 2 * n + 1)))
-    layers, spare, tmp = rows[:count], rows[count:-1], rows[-1]
-    layers[0][n] = 1.0
-    yield layers
-    for played in range(n):
-        remaining, band = n - played, scores[n - played : n + played + 1]
-        # the second layer, if any, has led. One expression per layer: no name
-        # keeps the mask or its coefficients alive into the next layer, so
-        # numpy reuses their buffers instead of parking one more per size in
-        # its small-array cache
-        for led, layer, out in zip((False, True), layers, spare):
-            analytic.step(
-                layer, played, *_coefficients(styles, decide(remaining, band, led)), out, tmp
-            )
-        layers, spare = spare, layers
-        if flagged:
-            # a never-led path can only reach +1 from 0, so one cell moves layers
-            not_led, led = layers
-            led[n + 1] += not_led[n + 1]
-            not_led[n + 1] = 0.0
-        yield layers
-
-
-def _coefficients(styles: list, offense: np.ndarray) -> tuple:
-    """Win, draw, loss coefficients of a band whose cells play ``offense``.
-
-    ``styles`` holds the (win, draw, loss) of the offense, then the defense.
-    """
-    off, dfn = styles
-    count = np.count_nonzero(offense)
-    if count == len(offense):
-        return off
-    if count == 0:
-        return dfn
+    off, dfn = map(analytic.style_coefficients, (spec.offense, spec.defense))
     (ow, od, ol), (dw, dd, dl) = off, dfn
-    return np.where(offense, ow, dw), np.where(offense, od, dd), np.where(offense, ol, dl)
+    decide = policy.decide_row
+
+    def coefficients(games_remaining: int, band: np.ndarray, has_led: bool) -> tuple:
+        offense = decide(games_remaining, band, has_led)
+        count = np.count_nonzero(offense)
+        if count == len(offense):
+            return off
+        if count == 0:
+            return dfn
+        return np.where(offense, ow, dw), np.where(offense, od, dd), np.where(offense, ol, dl)
+
+    return coefficients
 
 
 def exact_policy_gain(
@@ -270,7 +241,7 @@ def exact_policy_gain(
     require_instance(spec, MatchSpec)
     n = require_horizon(n_games, max_horizon, dp.DEFAULT_VALUE_HORIZON_BUDGET)
     policy = as_policy(policy)
-    for layers in _walk(spec, policy, n, policy.uses_lead_flag):
+    for layers in analytic.walk(n, _coefficients(spec, policy), policy.uses_lead_flag):
         pass
     mass = layers[0] + layers[1] if policy.uses_lead_flag else layers[0]
     return analytic.sign_expectation(mass, n)
@@ -328,7 +299,8 @@ def propagate_policy(
     """
     require_instance(spec, MatchSpec)
     n = require_horizon(n_games, max_horizon, DEFAULT_PROPAGATE_HORIZON_BUDGET)
-    stages = [np.stack(layers) for layers in _walk(spec, as_policy(policy), n, True)]
+    walk = analytic.walk(n, _coefficients(spec, as_policy(policy)), flagged=True)
+    stages = [np.stack(layers) for layers in walk]
     return AugmentedDistribution(n, stages)
 
 
@@ -354,14 +326,16 @@ def lead_policy_curves(
     cat_gains = np.zeros(n)
     catplus_gains = np.zeros(n)
     level_finish = None
-    for played, (not_led, led) in enumerate(_walk(spec, cat_policy(), n, True)):
+    # the plain rule: offense until the first lead, defense after
+    off, dfn = map(analytic.style_coefficients, (spec.offense, spec.defense))
+    walk = analytic.walk(n, lambda remaining, band, has_led: dfn if has_led else off, True)
+    for played, (not_led, led) in enumerate(walk):
         if played:
             mass = not_led[n - played : n + played + 1] + led[n - played : n + played + 1]
             cat_gains[played - 1] = analytic.sign_expectation(mass, played)
             mass[played - 1 : played + 2] = level_finish
             catplus_gains[played - 1] = analytic.sign_expectation(mass, played)
         if played < n:
-            # the plain rule plays offense until the first lead, defense after
             not_led_near = _near_zero_after_last_game(not_led, n, spec.offense, final)
             led_near = _near_zero_after_last_game(led, n, spec.defense, final)
             level_finish = [a + b for a, b in zip(not_led_near, led_near)]

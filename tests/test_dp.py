@@ -27,6 +27,7 @@ from matchplay import (
     table_policy,
 )
 from matchplay.dp import POLICY_LABELS
+from matchplay.verify import SPEC_GRID
 
 from conftest import CHESS_PROBS, GRIND_PROBS, exact_bellman_gains, make_spec, reference_sweep
 
@@ -122,6 +123,24 @@ class TestValueTable:
         assert policy.action(2, 3) is Action.DEF
         assert policy.action(5, -3) is Action.DEF
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.uint64])
+    def test_offense_mask_agrees_with_action_for_every_integer_dtype(self, dtype):
+        # the range check and the lookup must not run in the scores' dtype:
+        # np.abs keeps int8 -128 negative, and int8 scores + band wrap
+        info = np.iinfo(dtype)
+        for spec, n, stages in ((SPEC_GRID[1], 9, (1, 5, 9)), (SPEC_GRID[4], 300, (1, 100, 150))):
+            policy = solve(spec, n).policy
+            scores = np.arange(max(int(info.min), -n), min(int(info.max), n) + 1).astype(dtype)
+            beyond = [x for x in (int(info.min), int(info.max), 2**63) if n < abs(x) <= info.max]
+            for k in stages:
+                want = [policy.action(k, int(x)) is Action.OFF for x in scores]
+                assert policy.offense_mask(k, scores).tolist() == want
+                for x in beyond:
+                    with pytest.raises(InvalidState):
+                        policy.action(k, x)
+                    with pytest.raises(InvalidState):
+                        policy.offense_mask(k, np.array([x], dtype=dtype))
+
     def test_values_bounded(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -189,11 +208,14 @@ class TestGainCurve:
         with pytest.raises(ValueError):
             gain_curve(chess, 4, ("optimal", "greedy"))
 
-    @pytest.mark.parametrize("labels", [("optimal", "greedy"), "greedy", None, 42])
+    @pytest.mark.parametrize(
+        "labels", [("optimal", "greedy"), "greedy", None, 42, [["optimal"]], [{"cat"}]]
+    )
     def test_bad_labels_raise_a_library_error(self, chess, labels):
         with pytest.raises(InvalidPolicy) as info:
             gain_curve(chess, 4, labels)
         assert isinstance(info.value, MatchPlayError)
+        assert all(label in str(info.value) for label in POLICY_LABELS)
 
     @pytest.mark.parametrize("labels", [[], ()])
     def test_no_labels_rejected_with_the_accepted_ones(self, chess, labels):

@@ -22,6 +22,7 @@ from matchplay import (
     MatchPlayError,
     OracleHorizonTooLarge,
     RegimeNotCovered,
+    TablePolicy,
     as_policy,
     brute_force_optimal,
     cat_gain_curve,
@@ -360,6 +361,13 @@ class TestPolicyClasses:
         assert repr(CatPolicy()) == "CatPolicy()"
         assert "CatPlusPolicy" in repr(CatPlusPolicy(True))
         assert "horizon=3" in repr(table_policy(solve(chess, 3).policy))
+
+    def test_table_policy_needs_a_policy_table(self, chess):
+        for table in (5, "x", None, solve(chess, 2).values):
+            with pytest.raises(InvalidPolicy, match="PolicyTable"):
+                table_policy(table)
+            with pytest.raises(InvalidPolicy, match="PolicyTable"):
+                TablePolicy(table)
 
     def test_lead_flag_usage(self, chess):
         assert cat_policy().uses_lead_flag is True
