@@ -74,8 +74,11 @@ def dominates(a: StyleDistribution, b: StyleDistribution) -> bool:
     """True when ``a`` is at least as good as ``b`` in both tails.
 
     ``a`` dominates ``b`` when it wins at least as often and loses at most as
-    often, compared with tolerance ``EQ_TOL``.
+    often, compared with tolerance ``EQ_TOL``. A stand-in for either style
+    raises ``InvalidProbability``.
     """
+    require_instance(a, StyleDistribution)
+    require_instance(b, StyleDistribution)
     return a.win >= b.win - EQ_TOL and a.loss <= b.loss + EQ_TOL
 
 
@@ -124,7 +127,9 @@ class MatchSpec:
 
     The defensive style must draw at least as often as the offensive one;
     violations raise ``InvalidMatchSpec`` rather than silently swapping the
-    styles. Classification happens eagerly and is cached on the instance.
+    styles. A stand-in for either style (a tuple of three probabilities, say)
+    raises ``InvalidProbability``. Classification happens eagerly and is
+    cached on the instance.
     """
 
     offense: StyleDistribution
@@ -132,6 +137,8 @@ class MatchSpec:
     classification: Classification = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        require_instance(self.offense, StyleDistribution)
+        require_instance(self.defense, StyleDistribution)
         if self.defense.draw < self.offense.draw - EQ_TOL:
             raise InvalidMatchSpec(
                 f"defense must draw at least as often as offense "

@@ -116,10 +116,13 @@ class CatPlusPolicy(Policy):
 
     ``final_offense`` says which style has the larger one-game drift; it is
     played whenever one game remains and the score is zero, whether or not
-    the player has led before.
+    the player has led before. It must be a ``bool`` or a numpy bool scalar;
+    anything else raises ``InvalidPolicy`` rather than being read as truthy.
     """
 
     def __init__(self, final_offense: bool):
+        if not isinstance(final_offense, (bool, np.bool_)):
+            raise InvalidPolicy(f"final_offense must be a bool, got {final_offense!r}")
         self.final_offense = bool(final_offense)
 
     def decide_row(self, games_remaining, scores, has_led):

@@ -6,6 +6,16 @@ between independent computation routes, and randomized property checks over
 generated parameter grids. ``run_checks`` returns one record per check; the
 command-line ``verify`` subcommand prints them and sets the exit code.
 
+Every check has one of three shapes:
+
+- a fixed check sweeps hand-picked specs (``SPEC_GRID`` and the sure-draw
+  offense sets) and reduces one statistic per spec to its worst value;
+- a randomized check first draws all its specs from the shared generator,
+  each through a named drawer and in a fixed order, and only then solves
+  them, so its lines depend on the seed alone;
+- ``user_spec`` reuses the grid's statistics (benchmark floor gap, mass
+  drift and oracle gap) on the spec given on the command line.
+
 All comparisons between two exact routes use absolute tolerance 1e-12; checks
 against the closed-form trinomial formulas use 1e-10.
 """
@@ -101,6 +111,8 @@ LEAD_FLOOR_OFFENSES = (
 
 CHESS = SPEC_GRID[0]
 
+_SURE_DRAW = make_distribution(0.0, 1.0, 0.0)
+
 
 @dataclass(frozen=True)
 class Check:
@@ -123,8 +135,43 @@ def _fmt(value: float) -> str:
     return format(float(value), ".6g")
 
 
+def _worst(values, start: float = 0.0) -> float:
+    """The largest of ``start`` and ``values``.
+
+    ``max`` is exact, so the order in which a check sweeps cannot change a bit.
+    """
+    return max((start, *values))
+
+
 def _optimal_gains(spec: MatchSpec, n_max: int) -> np.ndarray:
     return dp.gain_curve(spec, n_max).gains["optimal"]
+
+
+def _floor_gap(spec: MatchSpec, n_max: int) -> float:
+    """How far any benchmark policy rises above the optimal gain, horizons 1..n_max."""
+    curve = dp.gain_curve(spec, n_max, POLICY_LABELS)
+    best = curve.gains["optimal"]
+    # every label after "optimal" names a benchmark policy
+    return _worst(float(np.max(curve.gains[label] - best)) for label in POLICY_LABELS[1:])
+
+
+def _mass_drift(spec: MatchSpec, policy, n_games: int) -> float:
+    """Largest drift of a stage's total mass from 1 under ``policy``.
+
+    A stage with a negative cell is no distribution at all, so its drift is inf.
+    """
+    dist = policies.propagate_policy(spec, policy, n_games)
+    if min(float(stage.min()) for stage in dist.stages) < 0.0:
+        return np.inf
+    return dist.max_mass_drift()
+
+
+def _oracle_gap(spec: MatchSpec, n_max: int) -> float:
+    """Largest gap between the solver and the exhaustive oracle, horizons 1..n_max."""
+    return _worst(
+        abs(dp.solve(spec, n).gain - policies.brute_force_optimal(spec, n))
+        for n in range(1, n_max + 1)
+    )
 
 
 def _check_g2_chess() -> Check:
@@ -142,45 +189,30 @@ def _check_g2_chess() -> Check:
 
 
 def _check_score_monotonicity() -> Check:
-    worst = 0.0
-    ok = True
-    for spec in SPEC_GRID:
-        values = dp.solve(spec, 48).values
-        for row in values.rows:
-            if len(row) > 1:
-                worst = max(worst, float(np.max(row[:-1] - row[1:])))
-            if np.max(np.abs(row)) > 1.0:
-                ok = False
-    ok = ok and worst <= EXACT_TOL
-    return Check("score_monotonicity", ok, _fmt(worst))
+    rows = [row for spec in SPEC_GRID for row in dp.solve(spec, 48).values.rows]
+    worst = _worst(float(np.max(row[:-1] - row[1:])) for row in rows if len(row) > 1)
+    bounded = not any(np.max(np.abs(row)) > 1.0 for row in rows)
+    return Check("score_monotonicity", bounded and worst <= EXACT_TOL, _fmt(worst))
 
 
 def _check_benchmark_floor() -> Check:
-    worst = 0.0
-    for spec in SPEC_GRID:
-        curve = dp.gain_curve(spec, 48, POLICY_LABELS)
-        best = curve.gains["optimal"]
-        for label in ("cat", "catplus", "off", "def"):
-            worst = max(worst, float(np.max(curve.gains[label] - best)))
+    worst = _worst(_floor_gap(spec, 48) for spec in SPEC_GRID)
     return Check("benchmark_floor", worst <= EXACT_TOL, _fmt(worst))
 
 
 def _check_catplus_over_cat() -> Check:
-    worst = 0.0
-    for spec in SPEC_GRID:
-        cat, catplus = policies.lead_policy_curves(spec, 60)
-        worst = max(worst, float(np.max(cat - catplus)))
+    curves = (policies.lead_policy_curves(spec, 60) for spec in SPEC_GRID)
+    worst = _worst(float(np.max(cat - catplus)) for cat, catplus in curves)
     return Check("catplus_over_cat", worst <= EXACT_TOL, _fmt(worst))
 
 
 def _check_fixed_policy_cross_check() -> Check:
-    worst = 0.0
-    for spec in SPEC_GRID[:6]:
-        for style, action in ((spec.offense, "Off"), (spec.defense, "Def")):
-            for n in (1, 7, 50, 200):
-                exact = policies.exact_policy_gain(spec, action, n)
-                formula = analytic.fixed_style_gain(style, n)
-                worst = max(worst, abs(exact - formula))
+    worst = _worst(
+        abs(policies.exact_policy_gain(spec, action, n) - analytic.fixed_style_gain(style, n))
+        for spec in SPEC_GRID[:6]
+        for style, action in ((spec.offense, "Off"), (spec.defense, "Def"))
+        for n in (1, 7, 50, 200)
+    )
     return Check("fixed_policy_cross_check", worst <= FORMULA_TOL, _fmt(worst))
 
 
@@ -188,51 +220,46 @@ def _check_trinomial_convolution() -> Check:
     styles = [spec.offense for spec in SPEC_GRID[:5]] + [
         spec.defense for spec in SPEC_GRID[:5]
     ]
-    worst = 0.0
+    gaps = []
     for style in styles:
         curve = analytic.fixed_style_gain_curve(style, 150)
         for n in (1, 2, 3, 10, 75, 150):
-            worst = max(worst, abs(float(curve[n - 1]) - analytic.fixed_style_gain(style, n)))
+            gaps.append(abs(float(curve[n - 1]) - analytic.fixed_style_gain(style, n)))
         for n in (1, 5, 137, 1000):
             total = (
                 analytic.fixed_style_positive_prob(style, n)
                 + analytic.fixed_style_positive_prob(style.mirror(), n)
                 + analytic.fixed_style_draw_prob(style, n)
             )
-            worst = max(worst, abs(total - 1.0))
+            gaps.append(abs(total - 1.0))
+    worst = _worst(gaps)
     return Check("trinomial_convolution", worst <= FORMULA_TOL, _fmt(worst))
 
 
 def _check_mass_conservation() -> Check:
-    worst = 0.0
-    ok = True
-    for spec in SPEC_GRID[:8]:
-        for policy in (policies.cat_policy(), policies.cat_plus_policy(spec), "Off"):
-            dist = policies.propagate_policy(spec, policy, 80)
-            worst = max(worst, dist.max_mass_drift())
-            if min(float(stage.min()) for stage in dist.stages) < 0.0:
-                ok = False
-    ok = ok and worst <= EXACT_TOL
-    return Check("mass_conservation", ok, _fmt(worst))
+    worst = _worst(
+        _mass_drift(spec, policy, 80)
+        for spec in SPEC_GRID[:8]
+        for policy in (policies.cat_policy(), policies.cat_plus_policy(spec), "Off")
+    )
+    return Check("mass_conservation", worst <= EXACT_TOL, _fmt(worst))
 
 
 def _check_oracle_agreement() -> Check:
-    worst = 0.0
-    for spec in SPEC_GRID:
-        for n in range(1, 5):
-            solved = dp.solve(spec, n).gain
-            exact = policies.brute_force_optimal(spec, n)
-            worst = max(worst, abs(solved - exact))
+    worst = _worst(_oracle_gap(spec, 4) for spec in SPEC_GRID)
     return Check("oracle_agreement", worst <= EXACT_TOL, _fmt(worst))
 
 
+def _sure_draw_reports(offenses, n_max: int):
+    """``cat_plus_identity_check`` of each offense against the sure-draw defense."""
+    for probs in offenses:
+        spec = MatchSpec(make_distribution(*probs), _SURE_DRAW)
+        yield policies.cat_plus_identity_check(spec, n_max)
+
+
 def _check_protect_lead_identity() -> Check:
-    safe = make_distribution(0.0, 1.0, 0.0)
-    worst = 0.0
-    for probs in IDENTITY_OFFENSES:
-        spec = MatchSpec(make_distribution(*probs), safe)
-        report = policies.cat_plus_identity_check(spec, 200)
-        worst = max(worst, report.max_discrepancy)
+    reports = _sure_draw_reports(IDENTITY_OFFENSES, 200)
+    worst = _worst(report.max_discrepancy for report in reports)
     return Check("protect_lead_identity", worst <= EXACT_TOL, _fmt(worst))
 
 
@@ -240,13 +267,17 @@ def _check_protect_lead_floor() -> Check:
     # one-sided version valid for every strictly losing offense: the envelope
     # is realized by stalling first and lead-chasing afterwards, so the
     # optimal gain can only sit on or above it
-    safe = make_distribution(0.0, 1.0, 0.0)
-    worst = -np.inf
-    for probs in LEAD_FLOOR_OFFENSES:
-        spec = MatchSpec(make_distribution(*probs), safe)
-        report = policies.cat_plus_identity_check(spec, 120)
-        worst = max(worst, float(np.max(report.catplus_envelope - report.optimal)))
+    reports = _sure_draw_reports(LEAD_FLOOR_OFFENSES, 120)
+    worst = _worst(
+        (float(np.max(report.catplus_envelope - report.optimal)) for report in reports),
+        start=-np.inf,
+    )
     return Check("protect_lead_floor", worst <= EXACT_TOL, _fmt(worst))
+
+
+# Spec drawers for the randomized checks. Each check draws all its specs
+# first, then solves them; the solvers never touch the generator, so the
+# draws, and with them the printed lines, follow the generator's order alone.
 
 
 def _split_simplex(rng: np.random.Generator, draw_cap: float) -> StyleDistribution:
@@ -255,32 +286,60 @@ def _split_simplex(rng: np.random.Generator, draw_cap: float) -> StyleDistributi
     return make_distribution(w, d, 1.0 - d - w)
 
 
+def _dominance_pair(rng: np.random.Generator) -> tuple[MatchSpec, MatchSpec]:
+    """One offense against a defense and against a defense that dominates it."""
+    offense = _split_simplex(rng, 0.4)
+    qd = rng.uniform(offense.draw, 1.0)
+    qw = (1.0 - qd) * rng.uniform(0.0, 1.0)
+    ql = 1.0 - qd - qw
+    into_win = ql * rng.uniform(0.0, 1.0)
+    into_draw = (ql - into_win) * rng.uniform(0.0, 1.0)
+    base = make_distribution(qw, qd, ql)
+    better = make_distribution(qw + into_win, qd + into_draw, ql - into_win - into_draw)
+    return MatchSpec(offense, base), MatchSpec(offense, better)
+
+
+def _no_draw_spec(rng: np.random.Generator) -> MatchSpec:
+    """A weak spec in which neither style ever draws."""
+    pw = rng.uniform(0.02, 0.5)
+    qw = rng.uniform(0.02, 0.5)
+    return MatchSpec.from_probs(pw, 0.0, 1.0 - pw, qw, 0.0, 1.0 - qw)
+
+
+def _heavy_defense_spec(rng: np.random.Generator) -> MatchSpec:
+    """A weak spec whose defense loses at least as often as the offense wins."""
+    pd = rng.uniform(0.0, 0.4)
+    pw = rng.uniform(0.02, (1.0 - pd) / 2.0)
+    qd = rng.uniform(pd, 1.0 - pw)
+    ql = rng.uniform(max(pw, (1.0 - qd) / 2.0), 1.0 - qd)
+    return MatchSpec.from_probs(pw, pd, 1.0 - pd - pw, 1.0 - qd - ql, qd, ql)
+
+
+def _fair_defense_spec(rng: np.random.Generator, strict: bool) -> MatchSpec:
+    """A spec with a fair defense; ``strict`` makes it win less often than the offense."""
+    pd = rng.uniform(0.0, 0.4)
+    pw = rng.uniform(0.05, (1.0 - pd) / 2.0)
+    if strict:
+        qw = rng.uniform(0.01, max(0.011, pw - 0.01))
+    else:
+        qw = rng.uniform(0.01, (1.0 - pd) / 2.0)
+    return MatchSpec.from_probs(pw, pd, 1.0 - pd - pw, qw, 1.0 - 2.0 * qw, qw)
+
+
 def _check_dominance_monotonicity(rng: np.random.Generator, draws: int) -> Check:
-    worst = 0.0
-    for _ in range(draws):
-        offense = _split_simplex(rng, 0.4)
-        qd = rng.uniform(offense.draw, 1.0)
-        qw = (1.0 - qd) * rng.uniform(0.0, 1.0)
-        ql = 1.0 - qd - qw
-        into_win = ql * rng.uniform(0.0, 1.0)
-        into_draw = (ql - into_win) * rng.uniform(0.0, 1.0)
-        base = make_distribution(qw, qd, ql)
-        better = make_distribution(qw + into_win, qd + into_draw, ql - into_win - into_draw)
-        gains_base = _optimal_gains(MatchSpec(offense, base), 100)
-        gains_better = _optimal_gains(MatchSpec(offense, better), 100)
-        worst = max(worst, float(np.max(gains_base - gains_better)))
+    pairs = [_dominance_pair(rng) for _ in range(draws)]
+    worst = _worst(
+        float(np.max(_optimal_gains(base, 100) - _optimal_gains(better, 100)))
+        for base, better in pairs
+    )
     return Check("dominance_monotonicity", worst <= EXACT_TOL, _fmt(worst))
 
 
 def _check_parity_inequality(rng: np.random.Generator, draws: int) -> Check:
     # no-draw weak specs: an odd horizon never beats the even one before it
-    worst = 0.0
-    for _ in range(draws):
-        pw = rng.uniform(0.02, 0.5)
-        qw = rng.uniform(0.02, 0.5)
-        spec = MatchSpec.from_probs(pw, 0.0, 1.0 - pw, qw, 0.0, 1.0 - qw)
-        gains = _optimal_gains(spec, 101)
-        worst = max(worst, float(np.max(gains[2::2] - gains[1::2])))
+    specs = [_no_draw_spec(rng) for _ in range(draws)]
+    curves = (_optimal_gains(spec, 101) for spec in specs)
+    worst = _worst(float(np.max(gains[2::2] - gains[1::2])) for gains in curves)
     return Check("parity_inequality", worst <= EXACT_TOL, _fmt(worst))
 
 
@@ -296,67 +355,40 @@ def _check_parity_counterexample() -> Check:
 
 
 def _check_heavy_defense_nonpositive(rng: np.random.Generator, draws: int) -> Check:
-    # weak specs whose defense loses at least as often as the offense wins
-    worst = -1.0
-    for _ in range(draws):
-        pd = rng.uniform(0.0, 0.4)
-        pw = rng.uniform(0.02, (1.0 - pd) / 2.0)
-        qd = rng.uniform(pd, 1.0 - pw)
-        ql = rng.uniform(max(pw, (1.0 - qd) / 2.0), 1.0 - qd)
-        spec = MatchSpec.from_probs(pw, pd, 1.0 - pd - pw, 1.0 - qd - ql, qd, ql)
-        worst = max(worst, float(np.max(_optimal_gains(spec, 100))))
+    specs = [_heavy_defense_spec(rng) for _ in range(draws)]
+    worst = _worst((float(np.max(_optimal_gains(spec, 100))) for spec in specs), start=-1.0)
     return Check("heavy_defense_nonpositive", worst <= EXACT_TOL, _fmt(worst))
 
 
 def _check_fair_defense_floor(rng: np.random.Generator, draws: int) -> Check:
-    floor_ok = True
-    strict_ok = True
-    worst_floor = 0.0
-    for i in range(draws):
-        pd = rng.uniform(0.0, 0.4)
-        pw = rng.uniform(0.05, (1.0 - pd) / 2.0)
-        if i % 2 == 0:
-            qw = rng.uniform(0.01, max(0.011, pw - 0.01))  # strictly smaller win rate
-        else:
-            qw = rng.uniform(0.01, (1.0 - pd) / 2.0)
-        spec = MatchSpec.from_probs(pw, pd, 1.0 - pd - pw, qw, 1.0 - 2.0 * qw, qw)
-        gains = _optimal_gains(spec, 100)
-        worst_floor = min(worst_floor, float(np.min(gains)))
-        if np.min(gains) < -EXACT_TOL:
-            floor_ok = False
-        if spec.defense.win < spec.offense.win and np.min(gains[1:]) <= 0.0:
-            strict_ok = False
-    return Check("fair_defense_floor", floor_ok and strict_ok, _fmt(worst_floor))
+    # even draws take a defense that wins strictly less often than the offense
+    specs = [_fair_defense_spec(rng, strict=i % 2 == 0) for i in range(draws)]
+    solved = [(spec, _optimal_gains(spec, 100)) for spec in specs]
+    # min, not -_worst(-x): negating would print the zero floor as -0
+    lowest = min((0.0, *(float(np.min(gains)) for _, gains in solved)))
+    strict_ok = not any(
+        spec.defense.win < spec.offense.win and np.min(gains[1:]) <= 0.0
+        for spec, gains in solved
+    )
+    return Check("fair_defense_floor", lowest >= -EXACT_TOL and strict_ok, _fmt(lowest))
 
 
 def _check_safe_defense_monotone(rng: np.random.Generator, draws: int) -> Check:
-    safe = make_distribution(0.0, 1.0, 0.0)
-    worst = 0.0
-    for _ in range(draws):
-        offense = _split_simplex(rng, 0.6)
-        gains = _optimal_gains(MatchSpec(offense, safe), 120)
-        worst = max(worst, float(np.max(gains[:-1] - gains[1:])))
+    specs = [MatchSpec(_split_simplex(rng, 0.6), _SURE_DRAW) for _ in range(draws)]
+    curves = (_optimal_gains(spec, 120) for spec in specs)
+    worst = _worst(float(np.max(gains[:-1] - gains[1:])) for gains in curves)
     return Check("safe_defense_monotone", worst <= EXACT_TOL, _fmt(worst))
 
 
 def _check_user_spec(spec: MatchSpec) -> Check:
-    curve = dp.gain_curve(spec, 60, POLICY_LABELS)
-    best = curve.gains["optimal"]
-    floor_gap = max(
-        float(np.max(curve.gains[label] - best))
-        for label in ("cat", "catplus", "off", "def")
-    )
-    drift = policies.propagate_policy(spec, policies.cat_policy(), 60).max_mass_drift()
-    oracle_gap = 0.0
+    floor_gap = _floor_gap(spec, 60)
+    drift = _mass_drift(spec, policies.cat_policy(), 60)
     try:
-        for n in range(1, 4):
-            oracle_gap = max(
-                oracle_gap, abs(dp.solve(spec, n).gain - policies.brute_force_optimal(spec, n))
-            )
+        oracle_gap = _oracle_gap(spec, 3)
     except InvalidOracleInput:
-        pass  # spec is not a short decimal; the integer oracle does not apply
+        oracle_gap = 0.0  # spec is not a short decimal; the integer oracle does not apply
     ok = floor_gap <= EXACT_TOL and drift <= EXACT_TOL and oracle_gap <= EXACT_TOL
-    return Check("user_spec", ok, _fmt(float(best[-1])))
+    return Check("user_spec", ok, _fmt(_optimal_gains(spec, 60)[-1]))
 
 
 def run_checks(user_spec: MatchSpec | None = None, seed: int = 0, draws: int = 100) -> list[Check]:

@@ -129,6 +129,13 @@ class TestDominates:
         assert not dominates(a, b)
         assert not dominates(b, a)
 
+    def test_stand_in_style_raises_a_library_error(self):
+        # a tuple used to leak AttributeError: 'tuple' object has no attribute 'win'
+        style = make_distribution(0.1, 0.8, 0.1)
+        for a, b in (((0.1, 0.2, 0.7), style), (style, (0.1, 0.2, 0.7)), (style, None)):
+            with pytest.raises(InvalidProbability, match="expected a StyleDistribution"):
+                dominates(a, b)
+
 
 class TestMatchSpec:
     def test_defensive_convention_enforced(self):
@@ -143,6 +150,13 @@ class TestMatchSpec:
     def test_from_probs_matches_constructor(self, chess):
         direct = MatchSpec(make_distribution(0.45, 0.0, 0.55), make_distribution(0.10, 0.75, 0.15))
         assert direct == chess
+
+    def test_stand_in_style_raises_a_library_error(self):
+        # each of these used to leak AttributeError: ... has no attribute 'draw'
+        style = make_distribution(0.1, 0.8, 0.1)
+        for offense, defense in (((0.4, 0, 0.6), (0.1, 0.8, 0.1)), ("x", style), (style, None)):
+            with pytest.raises(InvalidProbability, match="expected a StyleDistribution"):
+                MatchSpec(offense, defense)
 
     def test_classification_cached(self, chess):
         assert classify(chess) is chess.classification

@@ -362,6 +362,17 @@ class TestPolicyClasses:
         assert "CatPlusPolicy" in repr(CatPlusPolicy(True))
         assert "horizon=3" in repr(table_policy(solve(chess, 3).policy))
 
+    def test_cat_plus_policy_needs_a_bool(self, chess):
+        # "False" used to build a policy that attacks on a level last game, and
+        # an array leaked numpy's ambiguous-truth-value ValueError
+        for flag in ("False", np.array([1, 0]), 1, 0.0, None):
+            with pytest.raises(InvalidPolicy, match="must be a bool"):
+                CatPlusPolicy(flag)
+        assert CatPlusPolicy(np.True_).final_offense is True
+        assert CatPlusPolicy(np.bool_(False)).final_offense is False
+        # the spec route still picks the drift-better style (Def for CHESS)
+        assert cat_plus_policy(chess).final_offense is False
+
     def test_table_policy_needs_a_policy_table(self, chess):
         for table in (5, "x", None, solve(chess, 2).values):
             with pytest.raises(InvalidPolicy, match="PolicyTable"):

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import matchplay.dp
 import matchplay.policies
+import matchplay.verify as verify
 from matchplay import InvalidSampleCount, InvalidSeed, MatchSpec
 from matchplay.verify import (
+    CHESS,
     IDENTITY_OFFENSES,
     Check,
     LEAD_FLOOR_OFFENSES,
@@ -17,6 +22,12 @@ from matchplay.verify import (
 )
 
 LINE_RE = re.compile(r"^[a-z0-9_]+=\S+ (PASS|FAIL)$")
+
+GOLDEN = Path(__file__).parent / "golden" / "verify_seed0_draws20.txt"
+
+# these two details are gaps to the closed-form trinomial, which is built
+# from libm's lgamma and exp; their last bits may differ between platforms
+LIBM_DETAILS = ("fixed_policy_cross_check", "trinomial_convolution")
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +49,15 @@ class TestChecklist:
     def test_line_format(self, checks):
         for check in checks:
             assert LINE_RE.match(check.line()), check.line()
+
+    def test_lines_match_the_golden_file(self, checks):
+        golden = GOLDEN.read_text().splitlines()
+        assert [c.name for c in checks] == [line.split("=")[0] for line in golden]
+        for check, expected in zip(checks, golden):
+            if check.name in LIBM_DETAILS:
+                assert check.line().endswith(" PASS"), check.line()
+            else:
+                assert check.line() == expected
 
     def test_two_game_anchor_line(self, checks):
         lines = {c.name: c.line() for c in checks}
@@ -92,6 +112,45 @@ class TestUserSpec:
     def test_absent_by_default(self, checks):
         assert all(c.name != "user_spec" for c in checks)
 
+    def test_spec_off_the_decimal_grid_skips_the_oracle(self):
+        # 1/3 is no short decimal, so the integer oracle raises InvalidOracleInput
+        # and user_spec falls back to the floor gap and the mass drift
+        spec = MatchSpec.from_probs(1 / 3, 1 / 3, 1 - 2 / 3, 0.1, 0.8, 0.1)
+        check = run_checks(user_spec=spec, draws=1)[-1]
+        assert check.name == "user_spec"
+        assert check.line().startswith("user_spec=") and check.passed
+
+
+class TestDrawsBeforeSolving:
+    RANDOMIZED = (
+        "_check_dominance_monotonicity",
+        "_check_parity_inequality",
+        "_check_heavy_defense_nonpositive",
+        "_check_fair_defense_floor",
+        "_check_safe_defense_monotone",
+    )
+
+    @pytest.mark.parametrize("name", RANDOMIZED)
+    def test_every_draw_comes_before_the_first_solve(self, name, monkeypatch):
+        events = []
+        real_rng = np.random.default_rng(0)
+        real_curve = matchplay.dp.gain_curve
+
+        class LoggedRng:
+            def uniform(self, low, high):
+                events.append("draw")
+                return real_rng.uniform(low, high)
+
+        def logged_curve(*args, **kwargs):
+            events.append("solve")
+            return real_curve(*args, **kwargs)
+
+        monkeypatch.setattr(matchplay.dp, "gain_curve", logged_curve)
+        assert getattr(verify, name)(LoggedRng(), 4).passed
+        first_solve = events.index("solve")
+        assert "draw" in events[:first_solve]
+        assert "draw" not in events[first_solve:]
+
 
 class TestCorruption:
     def test_broken_oracle_is_caught_by_name(self, monkeypatch):
@@ -104,6 +163,17 @@ class TestCorruption:
         checks = run_checks(seed=0, draws=5)
         failed = {c.name for c in checks if not c.passed}
         assert "oracle_agreement" in failed
+
+    def test_broken_oracle_fails_the_user_spec(self, monkeypatch):
+        real = matchplay.policies.brute_force_optimal
+
+        def skewed(spec, n_games):
+            return real(spec, n_games) + 1e-6
+
+        monkeypatch.setattr(matchplay.policies, "brute_force_optimal", skewed)
+        checks = run_checks(user_spec=CHESS, seed=0, draws=1)
+        failed = {c.name for c in checks if not c.passed}
+        assert "user_spec" in failed
 
     def test_broken_convolution_is_caught_by_name(self, monkeypatch):
         import matchplay.analytic
