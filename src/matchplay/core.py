@@ -79,6 +79,11 @@ def dominates(a: StyleDistribution, b: StyleDistribution) -> bool:
     """
     require_instance(a, StyleDistribution)
     require_instance(b, StyleDistribution)
+    return _dominates(a, b)
+
+
+def _dominates(a: StyleDistribution, b: StyleDistribution) -> bool:
+    # unguarded: MatchSpec has already checked both styles
     return a.win >= b.win - EQ_TOL and a.loss <= b.loss + EQ_TOL
 
 
@@ -116,8 +121,8 @@ def _classify(offense: StyleDistribution, defense: StyleDistribution) -> Classif
         safe_defense=safe,
         fair_defense=fair,
         fair_non_safe=fair and not safe,
-        defense_dominates_offense=dominates(defense, offense),
-        offense_dominates_defense=dominates(offense, defense),
+        defense_dominates_offense=_dominates(defense, offense),
+        offense_dominates_defense=_dominates(offense, defense),
     )
 
 

@@ -135,43 +135,33 @@ def _fmt(value: float) -> str:
     return format(float(value), ".6g")
 
 
-def _worst(values, start: float = 0.0) -> float:
-    """The largest of ``start`` and ``values``.
-
-    ``max`` is exact, so the order in which a check sweeps cannot change a bit.
-    """
-    return max((start, *values))
-
-
 def _optimal_gains(spec: MatchSpec, n_max: int) -> np.ndarray:
     return dp.gain_curve(spec, n_max).gains["optimal"]
 
 
-def _floor_gap(spec: MatchSpec, n_max: int) -> float:
-    """How far any benchmark policy rises above the optimal gain, horizons 1..n_max."""
-    curve = dp.gain_curve(spec, n_max, POLICY_LABELS)
+def _floor_gap(curve: dp.GainCurve) -> float:
+    """How far any benchmark policy of ``curve`` rises above its optimal gain."""
     best = curve.gains["optimal"]
     # every label after "optimal" names a benchmark policy
-    return _worst(float(np.max(curve.gains[label] - best)) for label in POLICY_LABELS[1:])
+    return max(float(np.max(curve.gains[label] - best)) for label in POLICY_LABELS[1:])
 
 
-def _mass_drift(spec: MatchSpec, policy, n_games: int) -> float:
-    """Largest drift of a stage's total mass from 1 under ``policy``.
+def _mass_drift(spec: MatchSpec, policy, n_games: int) -> tuple[float, bool]:
+    """Mass drift under ``policy`` and whether every cell stays nonnegative.
 
-    A stage with a negative cell is no distribution at all, so its drift is inf.
+    The drift is the largest deviation of a stage's total mass from 1.
     """
     dist = policies.propagate_policy(spec, policy, n_games)
-    if min(float(stage.min()) for stage in dist.stages) < 0.0:
-        return np.inf
-    return dist.max_mass_drift()
+    return dist.max_mass_drift(), min(float(stage.min()) for stage in dist.stages) >= 0.0
 
 
 def _oracle_gap(spec: MatchSpec, n_max: int) -> float:
     """Largest gap between the solver and the exhaustive oracle, horizons 1..n_max."""
-    return _worst(
+    gaps = (
         abs(dp.solve(spec, n).gain - policies.brute_force_optimal(spec, n))
         for n in range(1, n_max + 1)
     )
+    return max((0.0, *gaps))
 
 
 def _check_g2_chess() -> Check:
@@ -190,29 +180,31 @@ def _check_g2_chess() -> Check:
 
 def _check_score_monotonicity() -> Check:
     rows = [row for spec in SPEC_GRID for row in dp.solve(spec, 48).values.rows]
-    worst = _worst(float(np.max(row[:-1] - row[1:])) for row in rows if len(row) > 1)
+    worst = max((0.0, *(float(np.max(row[:-1] - row[1:])) for row in rows if len(row) > 1)))
     bounded = not any(np.max(np.abs(row)) > 1.0 for row in rows)
     return Check("score_monotonicity", bounded and worst <= EXACT_TOL, _fmt(worst))
 
 
 def _check_benchmark_floor() -> Check:
-    worst = _worst(_floor_gap(spec, 48) for spec in SPEC_GRID)
+    gaps = (_floor_gap(dp.gain_curve(spec, 48, POLICY_LABELS)) for spec in SPEC_GRID)
+    worst = max((0.0, *gaps))
     return Check("benchmark_floor", worst <= EXACT_TOL, _fmt(worst))
 
 
 def _check_catplus_over_cat() -> Check:
     curves = (policies.lead_policy_curves(spec, 60) for spec in SPEC_GRID)
-    worst = _worst(float(np.max(cat - catplus)) for cat, catplus in curves)
+    worst = max((0.0, *(float(np.max(cat - catplus)) for cat, catplus in curves)))
     return Check("catplus_over_cat", worst <= EXACT_TOL, _fmt(worst))
 
 
 def _check_fixed_policy_cross_check() -> Check:
-    worst = _worst(
+    gaps = (
         abs(policies.exact_policy_gain(spec, action, n) - analytic.fixed_style_gain(style, n))
         for spec in SPEC_GRID[:6]
         for style, action in ((spec.offense, "Off"), (spec.defense, "Def"))
         for n in (1, 7, 50, 200)
     )
+    worst = max((0.0, *gaps))
     return Check("fixed_policy_cross_check", worst <= FORMULA_TOL, _fmt(worst))
 
 
@@ -232,21 +224,23 @@ def _check_trinomial_convolution() -> Check:
                 + analytic.fixed_style_draw_prob(style, n)
             )
             gaps.append(abs(total - 1.0))
-    worst = _worst(gaps)
+    worst = max((0.0, *gaps))
     return Check("trinomial_convolution", worst <= FORMULA_TOL, _fmt(worst))
 
 
 def _check_mass_conservation() -> Check:
-    worst = _worst(
+    results = [
         _mass_drift(spec, policy, 80)
         for spec in SPEC_GRID[:8]
         for policy in (policies.cat_policy(), policies.cat_plus_policy(spec), "Off")
-    )
-    return Check("mass_conservation", worst <= EXACT_TOL, _fmt(worst))
+    ]
+    worst = max((0.0, *(drift for drift, _ in results)))
+    ok = worst <= EXACT_TOL and all(nonnegative for _, nonnegative in results)
+    return Check("mass_conservation", ok, _fmt(worst))
 
 
 def _check_oracle_agreement() -> Check:
-    worst = _worst(_oracle_gap(spec, 4) for spec in SPEC_GRID)
+    worst = max((0.0, *(_oracle_gap(spec, 4) for spec in SPEC_GRID)))
     return Check("oracle_agreement", worst <= EXACT_TOL, _fmt(worst))
 
 
@@ -259,7 +253,7 @@ def _sure_draw_reports(offenses, n_max: int):
 
 def _check_protect_lead_identity() -> Check:
     reports = _sure_draw_reports(IDENTITY_OFFENSES, 200)
-    worst = _worst(report.max_discrepancy for report in reports)
+    worst = max((0.0, *(report.max_discrepancy for report in reports)))
     return Check("protect_lead_identity", worst <= EXACT_TOL, _fmt(worst))
 
 
@@ -268,10 +262,8 @@ def _check_protect_lead_floor() -> Check:
     # is realized by stalling first and lead-chasing afterwards, so the
     # optimal gain can only sit on or above it
     reports = _sure_draw_reports(LEAD_FLOOR_OFFENSES, 120)
-    worst = _worst(
-        (float(np.max(report.catplus_envelope - report.optimal)) for report in reports),
-        start=-np.inf,
-    )
+    gaps = (float(np.max(report.catplus_envelope - report.optimal)) for report in reports)
+    worst = max((-np.inf, *gaps))
     return Check("protect_lead_floor", worst <= EXACT_TOL, _fmt(worst))
 
 
@@ -328,10 +320,11 @@ def _fair_defense_spec(rng: np.random.Generator, strict: bool) -> MatchSpec:
 
 def _check_dominance_monotonicity(rng: np.random.Generator, draws: int) -> Check:
     pairs = [_dominance_pair(rng) for _ in range(draws)]
-    worst = _worst(
+    gaps = (
         float(np.max(_optimal_gains(base, 100) - _optimal_gains(better, 100)))
         for base, better in pairs
     )
+    worst = max((0.0, *gaps))
     return Check("dominance_monotonicity", worst <= EXACT_TOL, _fmt(worst))
 
 
@@ -339,7 +332,7 @@ def _check_parity_inequality(rng: np.random.Generator, draws: int) -> Check:
     # no-draw weak specs: an odd horizon never beats the even one before it
     specs = [_no_draw_spec(rng) for _ in range(draws)]
     curves = (_optimal_gains(spec, 101) for spec in specs)
-    worst = _worst(float(np.max(gains[2::2] - gains[1::2])) for gains in curves)
+    worst = max((0.0, *(float(np.max(gains[2::2] - gains[1::2])) for gains in curves)))
     return Check("parity_inequality", worst <= EXACT_TOL, _fmt(worst))
 
 
@@ -356,7 +349,7 @@ def _check_parity_counterexample() -> Check:
 
 def _check_heavy_defense_nonpositive(rng: np.random.Generator, draws: int) -> Check:
     specs = [_heavy_defense_spec(rng) for _ in range(draws)]
-    worst = _worst((float(np.max(_optimal_gains(spec, 100))) for spec in specs), start=-1.0)
+    worst = max((-1.0, *(float(np.max(_optimal_gains(spec, 100))) for spec in specs)))
     return Check("heavy_defense_nonpositive", worst <= EXACT_TOL, _fmt(worst))
 
 
@@ -364,7 +357,7 @@ def _check_fair_defense_floor(rng: np.random.Generator, draws: int) -> Check:
     # even draws take a defense that wins strictly less often than the offense
     specs = [_fair_defense_spec(rng, strict=i % 2 == 0) for i in range(draws)]
     solved = [(spec, _optimal_gains(spec, 100)) for spec in specs]
-    # min, not -_worst(-x): negating would print the zero floor as -0
+    # min, not -max(-x): negating would print the zero floor as -0
     lowest = min((0.0, *(float(np.min(gains)) for _, gains in solved)))
     strict_ok = not any(
         spec.defense.win < spec.offense.win and np.min(gains[1:]) <= 0.0
@@ -376,19 +369,19 @@ def _check_fair_defense_floor(rng: np.random.Generator, draws: int) -> Check:
 def _check_safe_defense_monotone(rng: np.random.Generator, draws: int) -> Check:
     specs = [MatchSpec(_split_simplex(rng, 0.6), _SURE_DRAW) for _ in range(draws)]
     curves = (_optimal_gains(spec, 120) for spec in specs)
-    worst = _worst(float(np.max(gains[:-1] - gains[1:])) for gains in curves)
+    worst = max((0.0, *(float(np.max(gains[:-1] - gains[1:])) for gains in curves)))
     return Check("safe_defense_monotone", worst <= EXACT_TOL, _fmt(worst))
 
 
 def _check_user_spec(spec: MatchSpec) -> Check:
-    floor_gap = _floor_gap(spec, 60)
-    drift = _mass_drift(spec, policies.cat_policy(), 60)
+    curve = dp.gain_curve(spec, 60, POLICY_LABELS)
+    drift, nonnegative = _mass_drift(spec, policies.cat_policy(), 60)
     try:
         oracle_gap = _oracle_gap(spec, 3)
     except InvalidOracleInput:
         oracle_gap = 0.0  # spec is not a short decimal; the integer oracle does not apply
-    ok = floor_gap <= EXACT_TOL and drift <= EXACT_TOL and oracle_gap <= EXACT_TOL
-    return Check("user_spec", ok, _fmt(_optimal_gains(spec, 60)[-1]))
+    ok = max(_floor_gap(curve), drift, oracle_gap) <= EXACT_TOL and nonnegative
+    return Check("user_spec", ok, _fmt(curve.gains["optimal"][-1]))
 
 
 def run_checks(user_spec: MatchSpec | None = None, seed: int = 0, draws: int = 100) -> list[Check]:

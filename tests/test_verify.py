@@ -175,6 +175,25 @@ class TestCorruption:
         failed = {c.name for c in checks if not c.passed}
         assert "user_spec" in failed
 
+    def test_negative_mass_fails_with_its_drift_shown(self, monkeypatch):
+        real = matchplay.policies.propagate_policy
+
+        def leaky(spec, policy, n_games, **kwargs):
+            dist = real(spec, policy, n_games, **kwargs)
+            last = dist.stages[-1].copy()
+            # a negative cell that leaves the stage's total mass at 1
+            last[0, 0] -= 0.25
+            last[0, -1] += 0.25
+            dist.stages[-1] = last
+            return dist
+
+        monkeypatch.setattr(matchplay.policies, "propagate_policy", leaky)
+        checks = {c.name: c for c in run_checks(user_spec=CHESS, seed=0, draws=1)}
+        assert not checks["mass_conservation"].passed
+        assert not checks["user_spec"].passed
+        # the detail is still the drift, which stays tiny: only the sign check fails
+        assert float(checks["mass_conservation"].detail) <= verify.EXACT_TOL
+
     def test_broken_convolution_is_caught_by_name(self, monkeypatch):
         import matchplay.analytic
 
