@@ -34,6 +34,11 @@ from .core import (  # noqa: F401  the limits are re-exported from core
 )
 from .errors import require_horizon
 
+# horizon budget of every value-only computation (curves, exact evaluation):
+# memory and time grow with the horizon, so a call past it raises before any
+# work unless its ``max_horizon`` says otherwise
+DEFAULT_VALUE_HORIZON_BUDGET = 100_000
+
 # terms per block of the trinomial sum: enough rows to amortise the numpy
 # calls at a few hundred games, while the scratch block stays at 64 KB
 _BLOCK_TERMS = 8192
@@ -156,7 +161,9 @@ def _trinomial_logs(style: StyleDistribution, n: int):
     return wins, losses, draws
 
 
-def fixed_style_positive_prob(style: StyleDistribution, n_games: int) -> float:
+def fixed_style_positive_prob(
+    style: StyleDistribution, n_games: int, *, max_horizon: int | None = None
+) -> float:
     """Probability that the final score is positive under a single style.
 
     Sums the trinomial mass over outcomes with more wins than losses,
@@ -175,7 +182,7 @@ def fixed_style_positive_prob(style: StyleDistribution, n_games: int) -> float:
     keeps it close to the triangle of valid (i, j).
     """
     require_instance(style, StyleDistribution)
-    n = require_horizon(n_games)
+    n = require_horizon(n_games, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
     wins, losses, draws = _trinomial_logs(style, n)
     # row j reads wins from j + 1 and draws from 2j + 1 decisive games on;
     # past N decisive games the draw factor is -inf, an exact 0 after exp,
@@ -200,10 +207,12 @@ def fixed_style_positive_prob(style: StyleDistribution, n_games: int) -> float:
     return min(total, 1.0)
 
 
-def fixed_style_draw_prob(style: StyleDistribution, n_games: int) -> float:
+def fixed_style_draw_prob(
+    style: StyleDistribution, n_games: int, *, max_horizon: int | None = None
+) -> float:
     """Probability that the final score is exactly zero under a single style."""
     require_instance(style, StyleDistribution)
-    n = require_horizon(n_games)
+    n = require_horizon(n_games, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
     wins, losses, draws = _trinomial_logs(style, n)
     half = n // 2 + 1
     # i wins and i losses, so 2i decisive games, for i = 0..N//2
@@ -211,24 +220,32 @@ def fixed_style_draw_prob(style: StyleDistribution, n_games: int) -> float:
     return min(float(np.exp(log_terms).sum()), 1.0)
 
 
-def fixed_style_gain(style: StyleDistribution, n_games: int) -> float:
+def fixed_style_gain(
+    style: StyleDistribution, n_games: int, *, max_horizon: int | None = None
+) -> float:
     """Expected sign of the final score when every game uses ``style``.
 
     Equals the positive-score probability of the style minus that of its
     mirror image, so a fair style scores exactly zero.
     """
-    n = require_horizon(n_games)
-    return fixed_style_positive_prob(style, n) - fixed_style_positive_prob(style.mirror(), n)
+    n = require_horizon(n_games, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
+    # a raised budget reaches the inner calls; left unset, they keep the
+    # two-argument form that bench/tracer.py counts their work from
+    budget = {} if max_horizon is None else {"max_horizon": max_horizon}
+    positive = fixed_style_positive_prob(style, n, **budget)
+    return positive - fixed_style_positive_prob(style.mirror(), n, **budget)
 
 
-def score_distribution(style: StyleDistribution, n_games: int) -> np.ndarray:
+def score_distribution(
+    style: StyleDistribution, n_games: int, *, max_horizon: int | None = None
+) -> np.ndarray:
     """Distribution of the final score via repeated one-game convolution.
 
     Returns a vector of length 2N + 1 indexed by score + N. Redundant with
     the trinomial sum on purpose; the two routes cross-check each other.
     """
     require_instance(style, StyleDistribution)
-    n = require_horizon(n_games)
+    n = require_horizon(n_games, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
     coefficients = style_coefficients(style)
     for (mass,) in walk(n, lambda *_: coefficients):
         pass
@@ -236,10 +253,12 @@ def score_distribution(style: StyleDistribution, n_games: int) -> np.ndarray:
     return mass.copy()
 
 
-def fixed_style_gain_curve(style: StyleDistribution, n_max: int) -> np.ndarray:
+def fixed_style_gain_curve(
+    style: StyleDistribution, n_max: int, *, max_horizon: int | None = None
+) -> np.ndarray:
     """Expected final-score sign for every match length 1..n_max, in one pass."""
     require_instance(style, StyleDistribution)
-    n = require_horizon(n_max)
+    n = require_horizon(n_max, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
     coefficients = style_coefficients(style)
     stages = walk(n, lambda *_: coefficients)
     next(stages)  # the start, before any game

@@ -32,7 +32,7 @@ from . import analytic
 from .core import POLICY_LABELS, Action, MatchSpec, require_instance
 from .errors import InvalidPolicy, InvalidState, require_horizon, require_integer
 
-DEFAULT_VALUE_HORIZON_BUDGET = 100_000
+DEFAULT_VALUE_HORIZON_BUDGET = analytic.DEFAULT_VALUE_HORIZON_BUDGET
 DEFAULT_TABLE_HORIZON_BUDGET = 20_000
 
 
@@ -60,17 +60,27 @@ def _bellman_sweep(
     are written into scratch rows allocated once per call, and their maximum
     straight into the buffer. A stage at the horizons of a parameter scan
     costs a few microseconds, most of it per-call overhead, so the loop makes
-    few numpy calls. For the same reason the clamp is two in-place ufuncs
-    (``minimum`` then ``maximum``) instead of ``np.clip``, which costs several
-    times more per call and gives the same bits on non-NaN input.
+    few numpy calls: ufuncs bound to locals, ``out`` positional where numpy
+    takes it, and each stage's gain read as a Python float.
+
+    The clamp to [-1, 1] is in-place ``minimum`` and ``maximum``, not the
+    costlier ``np.clip``, and a side runs only if rounding can cross it.
+    Rounding is monotone, so on inputs in [-1, 1] a style's stencil stays in
+    [-s, s], s = (win + loss) + draw in floats: the ceiling is needed only
+    when the larger sum exceeds 1, the floor under the maximum only when both
+    do. A skipped side would have returned the same bits.
     """
     (pw, pd, pl), (qw, qd, ql) = map(analytic.style_coefficients, (spec.offense, spec.defense))
-    ceiling, floor = np.array(1.0), np.array(-1.0)
+    sums = [(style.win + style.loss) + style.draw for style in (spec.offense, spec.defense)]
+    ceiling = np.array(1.0) if max(sums) > 1.0 else None
+    floor = np.array(-1.0) if min(sums) > 1.0 else None
+    multiply, add, maximum, minimum = np.multiply, np.add, np.maximum, np.minimum
     center = n_max + 1
     xs = np.arange(-center, center + 1)
     buf = np.sign(xs).astype(np.float64)  # U_0 plus one guard cell per side
+    cells = memoryview(buf)
     off_row, def_row, tmp_row = np.empty((3, 2 * n_max + 1))
-    gains = np.zeros(n_max + 1)
+    gains = [0.0]
     value_rows = [np.zeros(1)] if tables else None
     policy_rows = [] if tables else None
     evaluations = 0
@@ -85,28 +95,31 @@ def _bellman_sweep(
         # (w*up + l*down) + d*mid: this association makes the stencil exactly
         # antisymmetric for fair styles, so a fair defense floors the computed
         # gain at 0.0 instead of at rounding noise below it
-        np.multiply(up, pw, out=off)
-        np.multiply(down, pl, out=tmp)
-        np.add(off, tmp, out=off)
-        np.multiply(mid, pd, out=tmp)
-        np.add(off, tmp, out=off)
-        np.multiply(up, qw, out=dfn)
-        np.multiply(down, ql, out=tmp)
-        np.add(dfn, tmp, out=dfn)
-        np.multiply(mid, qd, out=tmp)
-        np.add(dfn, tmp, out=dfn)
+        multiply(up, pw, off)
+        multiply(down, pl, tmp)
+        add(off, tmp, off)
+        multiply(mid, pd, tmp)
+        add(off, tmp, off)
+        multiply(up, qw, dfn)
+        multiply(down, ql, tmp)
+        add(dfn, tmp, dfn)
+        multiply(mid, qd, tmp)
+        add(dfn, tmp, dfn)
         evaluations += width
         # the new values overwrite the old ones in place: every product that
-        # reads them has been taken
-        np.maximum(off, dfn, out=mid)
-        # rounding can push a convex combination a few ulp past +-1
-        np.minimum(mid, ceiling, out=mid)
-        np.maximum(mid, floor, out=mid)
+        # reads them has been taken; maximum and minimum keep ``out=``, as
+        # numpy deprecates a positional ``out`` for them
+        maximum(off, dfn, out=mid)
+        # only the clamp sides this spec's style sums let rounding cross
+        if ceiling is not None:
+            minimum(mid, ceiling, out=mid)
+        if floor is not None:
+            maximum(mid, floor, out=mid)
         if tables:
             policy_rows.append((off > dfn).view(np.uint8))
             value_rows.append(mid.copy())
-        gains[k] = buf[center]
-    return _Sweep(gains, value_rows, policy_rows, evaluations)
+        gains.append(cells[center])
+    return _Sweep(np.array(gains), value_rows, policy_rows, evaluations)
 
 
 def _lattice_point(games_remaining, score) -> tuple[int, int]:
@@ -260,21 +273,24 @@ def gain_curve(
     unknown = [x for x in labels if not (isinstance(x, str) and x in POLICY_LABELS)]
     if unknown:
         raise InvalidPolicy(f"unknown policy labels {unknown}; choose from {POLICY_LABELS}")
+    # a raised budget reaches the other routes; left unset, the calls keep the
+    # form that bench/tracer.py counts their work from
+    budget = {} if max_horizon is None else {"max_horizon": max_horizon}
     curves: dict[str, np.ndarray] = {}
     if "optimal" in labels:
         curves["optimal"] = _bellman_sweep(spec, n).gains[1:]
     if "cat" in labels or "catplus" in labels:
         from . import policies as policy_mod  # deferred to avoid an import cycle
 
-        cat_curve, catplus_curve = policy_mod.lead_policy_curves(spec, n)
+        cat_curve, catplus_curve = policy_mod.lead_policy_curves(spec, n, **budget)
         if "cat" in labels:
             curves["cat"] = cat_curve
         if "catplus" in labels:
             curves["catplus"] = catplus_curve
     if "off" in labels:
-        curves["off"] = analytic.fixed_style_gain_curve(spec.offense, n)
+        curves["off"] = analytic.fixed_style_gain_curve(spec.offense, n, **budget)
     if "def" in labels:
-        curves["def"] = analytic.fixed_style_gain_curve(spec.defense, n)
+        curves["def"] = analytic.fixed_style_gain_curve(spec.defense, n, **budget)
     ordered = {label: curves[label] for label in POLICY_LABELS if label in curves}
     return GainCurve(np.arange(1, n + 1), ordered)
 

@@ -16,6 +16,8 @@ import pytest
 
 from matchplay import (
     AsymptoticVerdict,
+    HorizonTooLarge,
+    InvalidHorizon,
     Regime,
     RegimeNotCovered,
     cat_limit,
@@ -30,6 +32,7 @@ from matchplay import (
     score_distribution,
     sign_expectation,
 )
+from matchplay import analytic
 from matchplay.analytic import step
 
 from conftest import make_spec, reference_step
@@ -215,6 +218,38 @@ class TestConvolutionRoute:
         style = make_distribution(0.25, 0.5, 0.25)
         curve = fixed_style_gain_curve(style, 200)
         assert np.all(curve == 0.0)
+
+
+class TestHorizonBudget:
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            fixed_style_positive_prob,
+            fixed_style_draw_prob,
+            fixed_style_gain,
+            fixed_style_gain_curve,
+            score_distribution,
+        ],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_past_the_budget_raises_before_any_work(self, fn):
+        style = make_distribution(0.2, 0.5, 0.3)
+        for n in (10**9, analytic.DEFAULT_VALUE_HORIZON_BUDGET + 1):
+            with pytest.raises(HorizonTooLarge):
+                fn(style, n)
+        with pytest.raises(HorizonTooLarge):
+            fn(style, 8, max_horizon=7)
+        with pytest.raises(InvalidHorizon):
+            fn(style, 8, max_horizon=0)
+
+    def test_a_raised_budget_reaches_the_inner_calls(self, monkeypatch):
+        style = make_distribution(0.2, 0.5, 0.3)
+        want = fixed_style_gain(style, 8)
+        # a default of 4 stages stands in for a budget a caller raises past
+        monkeypatch.setattr(analytic, "DEFAULT_VALUE_HORIZON_BUDGET", 4)
+        with pytest.raises(HorizonTooLarge):
+            fixed_style_gain(style, 8)
+        assert fixed_style_gain(style, 8, max_horizon=8) == want
 
 
 class TestSignExpectation:

@@ -26,7 +26,8 @@ from matchplay import (
     solve,
     table_policy,
 )
-from matchplay.dp import POLICY_LABELS
+from matchplay import analytic, dp
+from matchplay.dp import POLICY_LABELS, _bellman_sweep
 from matchplay.verify import SPEC_GRID
 
 from conftest import CHESS_PROBS, GRIND_PROBS, exact_bellman_gains, make_spec, reference_sweep
@@ -176,6 +177,39 @@ class TestPruning:
         assert reference_sweep(chess, 64, prune=False)[3] == 4096
 
 
+# each side of the sweep's clamp runs only when a style sum (win + loss) + draw
+# exceeds 1: (probs, offense sum above 1, defense sum above 1) per case
+CLAMP_CASES = {
+    "no_sum_above_1": (CHESS_PROBS, False, False),
+    # s_off = 1.0000000000004, s_def = 1.0: the ceiling binds at N = 60
+    "offense_sum_above_1": ((0.45, 4e-13, 0.55, 0.10, 0.75, 0.15), True, False),
+    # both clamps bind at N = 60
+    "both_sums_above_1": ((0.05, 4e-13, 0.95, 0.01, 0.9400000000004, 0.05), True, True),
+    # s_off rounds below 1: the defense's stencil drops past -1 at N = 60,
+    # but the offense's keeps their maximum above it
+    "offense_sum_below_1": ((0.05, 0.0, 0.9499999999996, 0.01, 0.9400000000004, 0.05), False, True),
+}
+
+
+class TestClampCases:
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    @pytest.mark.parametrize("case", CLAMP_CASES.values(), ids=list(CLAMP_CASES))
+    def test_sweep_keeps_the_reference_bits(self, case, n):
+        probs, offense_above, defense_above = case
+        spec = make_spec(*probs)
+        sums = [(style.win + style.loss) + style.draw for style in (spec.offense, spec.defense)]
+        assert [s > 1.0 for s in sums] == [offense_above, defense_above]
+        gains, value_rows, policy_rows, _ = reference_sweep(spec, n, prune=True)
+        tables = _bellman_sweep(spec, n, tables=True)
+        for sweep in (_bellman_sweep(spec, n), tables):
+            assert sweep.gains.tobytes() == np.array(gains).tobytes()
+        for got, want in zip(tables.value_rows, value_rows, strict=True):
+            assert got.tobytes() == np.array(want).tobytes()
+            assert np.all(np.abs(got) <= 1.0)
+        for got, want in zip(tables.policy_rows, policy_rows, strict=True):
+            assert got.tobytes() == np.array(want, dtype=np.uint8).tobytes()
+
+
 class TestGainCurve:
     def test_matches_single_solves(self, chess):
         curve = gain_curve(chess, 12).gains["optimal"]
@@ -317,6 +351,17 @@ class TestBudgetsAndValidation:
         with pytest.raises(HorizonTooLarge):
             solve(chess, 50, max_horizon=10)
         assert solve(chess, 50, max_horizon=50).gain == solve(chess, 50).gain
+
+    def test_a_raised_budget_reaches_every_route(self, chess, monkeypatch):
+        want = gain_curve(chess, 8, POLICY_LABELS).gains
+        # a default of 4 stages stands in for a budget a caller raises past
+        monkeypatch.setattr(analytic, "DEFAULT_VALUE_HORIZON_BUDGET", 4)
+        monkeypatch.setattr(dp, "DEFAULT_VALUE_HORIZON_BUDGET", 4)
+        with pytest.raises(HorizonTooLarge):
+            gain_curve(chess, 8, POLICY_LABELS)
+        got = gain_curve(chess, 8, POLICY_LABELS, max_horizon=8).gains
+        for label in POLICY_LABELS:
+            assert got[label].tobytes() == want[label].tobytes()
 
     def test_bad_horizons_rejected(self, chess):
         for bad in (0, -3, 2.5, "six", None, True, np.True_, float("inf")):
