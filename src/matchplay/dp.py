@@ -18,6 +18,13 @@ evaluates only the intersection of the two bands, the undecided reachable
 scores, which is roughly half of the lattice (2112 of 4096 cells at N = 64).
 Skipping the rest is exact: the tests pin every row bit for bit against a
 per-cell reference that evaluates the full reachable triangle.
+
+A third fact is one of floating point. A cell whose three inputs are all
+exactly -1 computes exactly -s per style, s = (win + loss) + draw in floats,
+so once both sums reach 1 it reads -1 again after the clamp; likewise +1 when
+either sum reaches 1. The weak player's long matches are lost almost surely,
+so at long horizons most of the band freezes at -1, and the sweep computes
+only the window between the frozen runs, with the same bits.
 """
 
 from __future__ import annotations
@@ -36,11 +43,25 @@ DEFAULT_VALUE_HORIZON_BUDGET = analytic.DEFAULT_VALUE_HORIZON_BUDGET
 DEFAULT_TABLE_HORIZON_BUDGET = 20_000
 
 
+# The frontier rescan runs every _RESCAN_STAGES stages, and a stored table row
+# narrows to the active window only when at least _NARROW_MIN_FROZEN band cells
+# are frozen. A narrowed row makes a few more numpy calls than a full one, so
+# it pays only past about a hundred frozen cells. Timed against a sweep without
+# the frontier, tables mode on weak specs (bench/workloads.weak_specs), process
+# time on 2 shared vCPUs: narrowing from 128 frozen cells ran 4-5% slower at
+# N <= 548 and 3-5% faster at N = 838 and 1585, where never narrowing ran 4-6%
+# slower; narrowing from 64 ran 7% slower at N = 358. Rescans every 4, 8, 16 or
+# 32 stages timed the same within noise.
+_RESCAN_STAGES = 8
+_NARROW_MIN_FROZEN = 128
+
+
 class _Sweep(NamedTuple):
     gains: np.ndarray
     value_rows: list | None
     policy_rows: list | None
     evaluations: int
+    computed: int  # the cells the stencil evaluated, at most ``evaluations``
 
 
 def _bellman_sweep(
@@ -54,7 +75,8 @@ def _bellman_sweep(
     Stage k evaluates the Bellman operator on the undecided reachable band,
     |score| <= min(k, n_max - k). Cells outside it always hold sign(score),
     which is the exact value of every decided state. With ``tables`` the
-    sweep also keeps every stage's value and policy row.
+    sweep also keeps every stage's value and policy row. ``evaluations``
+    counts the band's cells, ``computed`` the cells the stencil evaluated.
 
     A stage allocates nothing but the rows it keeps: both styles' expectations
     are written into scratch rows allocated once per call, and their maximum
@@ -69,12 +91,38 @@ def _bellman_sweep(
     [-s, s], s = (win + loss) + draw in floats: the ceiling is needed only
     when the larger sum exceeds 1, the floor under the maximum only when both
     do. A skipped side would have returned the same bits.
+
+    Cells frozen at exactly -1 or +1 are skipped. Two frontiers bound them:
+    every cell a stage reads below ``first`` holds -1, every one above
+    ``last`` holds +1, and stage k computes only the window
+    [max(lo, first - 1), min(hi, last + 1)] of its band [lo, hi]. A cell whose
+    three inputs are all -1 computes -s per style, exactly, since negation
+    commutes with rounding; after the clamp it is -1 again when
+    min(s_off, s_def) >= 1, with the policy bit s_off < s_def. On the +1 side
+    it computes s per style and stays +1 when max(s_off, s_def) >= 1, with the
+    bit s_off > s_def. So a skipped cell keeps the bits it would have been
+    given. When a sum is below 1 no band cell ever reaches that side, so the
+    frontier there follows the band's edge and nothing is skipped.
+    Each stage moves both frontiers out by one cell, which only recomputes
+    frozen cells; every ``_RESCAN_STAGES`` stages a rescan through the
+    ``memoryview`` pulls them in over the cells that read -1 and +1, stopping
+    at score 0 so no window is empty. A rescan starts from the frontier, not
+    from the band's edge, so it never walks the whole frozen run again.
+
+    Stored value rows keep the whole band: frozen cells already hold -1 or +1
+    in the buffer. A policy row narrows only when at least
+    ``_NARROW_MIN_FROZEN`` cells are frozen; it is then zeros, the frozen
+    side's constant bit, and ``off > dfn`` on the window. Otherwise the row
+    is computed over the whole band, which recomputes the frozen cells to
+    the same bits.
     """
     (pw, pd, pl), (qw, qd, ql) = map(analytic.style_coefficients, (spec.offense, spec.defense))
-    sums = [(style.win + style.loss) + style.draw for style in (spec.offense, spec.defense)]
-    ceiling = np.array(1.0) if max(sums) > 1.0 else None
-    floor = np.array(-1.0) if min(sums) > 1.0 else None
-    multiply, add, maximum, minimum = np.multiply, np.add, np.maximum, np.minimum
+    s_off, s_def = ((style.win + style.loss) + style.draw for style in (spec.offense, spec.defense))
+    ceiling = np.array(1.0) if max(s_off, s_def) > 1.0 else None
+    floor = np.array(-1.0) if min(s_off, s_def) > 1.0 else None
+    # the policy bit of a cell frozen at -1 (low) or +1 (high)
+    low_bit, high_bit = s_off < s_def, s_off > s_def
+    multiply, add, maximum, minimum, greater = np.multiply, np.add, np.maximum, np.minimum, np.greater
     center = n_max + 1
     xs = np.arange(-center, center + 1)
     buf = np.sign(xs).astype(np.float64)  # U_0 plus one guard cell per side
@@ -83,14 +131,21 @@ def _bellman_sweep(
     gains = [0.0]
     value_rows = [np.zeros(1)] if tables else None
     policy_rows = [] if tables else None
-    evaluations = 0
+    first = last = center  # U_0 reads -1 below score 0 and +1 above it
+    computed = 0
     for k in range(1, n_max + 1):
-        band = min(k, n_max - k)  # undecided scores the match can reach
+        # not min() or max(): a builtin call costs as much as a short slice
+        band = k if k < n_max - k else n_max - k  # undecided scores the match can reach
         lo, hi = center - band, center + band
-        width = hi - lo + 1
-        up = buf[lo + 1 : hi + 2]
-        mid = buf[lo : hi + 1]
-        down = buf[lo - 1 : hi]
+        first = first - 1 if first > lo else lo
+        last = last + 1 if last < hi else hi
+        start, stop = first, last
+        if tables and (start - lo) + (hi - stop) < _NARROW_MIN_FROZEN:
+            start, stop = lo, hi
+        width = stop - start + 1
+        up = buf[start + 1 : stop + 2]
+        mid = buf[start : stop + 1]
+        down = buf[start - 1 : stop]
         off, dfn, tmp = off_row[:width], def_row[:width], tmp_row[:width]
         # (w*up + l*down) + d*mid: this association makes the stencil exactly
         # antisymmetric for fair styles, so a fair defense floors the computed
@@ -105,7 +160,7 @@ def _bellman_sweep(
         add(dfn, tmp, dfn)
         multiply(mid, qd, tmp)
         add(dfn, tmp, dfn)
-        evaluations += width
+        computed += width
         # the new values overwrite the old ones in place: every product that
         # reads them has been taken; maximum and minimum keep ``out=``, as
         # numpy deprecates a positional ``out`` for them
@@ -116,10 +171,28 @@ def _bellman_sweep(
         if floor is not None:
             maximum(mid, floor, out=mid)
         if tables:
-            policy_rows.append((off > dfn).view(np.uint8))
-            value_rows.append(mid.copy())
+            if start == lo and stop == hi:
+                policy_rows.append((off > dfn).view(np.uint8))
+                value_rows.append(mid.copy())
+            else:
+                # a bool row: greater writes bool, and a uint8 ``out`` costs a cast
+                policy = np.zeros(hi - lo + 1, bool)
+                if low_bit:
+                    policy[: start - lo] = True
+                elif high_bit:
+                    policy[stop - lo + 1 :] = True
+                greater(off, dfn, out=policy[start - lo : stop - lo + 1])
+                policy_rows.append(policy.view(np.uint8))
+                value_rows.append(buf[lo : hi + 1].copy())
         gains.append(cells[center])
-    return _Sweep(np.array(gains), value_rows, policy_rows, evaluations)
+        if not k % _RESCAN_STAGES:
+            while first < center and cells[first] == -1.0:
+                first += 1
+            while last > center and cells[last] == 1.0:
+                last -= 1
+    # the band's cells, the sum over k of 2 * min(k, n_max - k) + 1
+    evaluations = n_max + 2 * (n_max * n_max // 4)
+    return _Sweep(np.array(gains), value_rows, policy_rows, evaluations, computed)
 
 
 def _lattice_point(games_remaining, score) -> tuple[int, int]:

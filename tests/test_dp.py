@@ -178,7 +178,11 @@ class TestPruning:
 
 
 # each side of the sweep's clamp runs only when a style sum (win + loss) + draw
-# exceeds 1: (probs, offense sum above 1, defense sum above 1) per case
+# exceeds 1: (probs, offense sum above 1, defense sum above 1) per case. The
+# sweep also skips cells frozen at exactly -1 (when min(s_off, s_def) >= 1) or
+# +1 (when max(s_off, s_def) >= 1), whose policy bit is s_off < s_def on the
+# -1 side and s_off > s_def on the +1 side; few cells freeze by N = 64, so
+# the longer horizons check the skipped cells
 CLAMP_CASES = {
     "no_sum_above_1": (CHESS_PROBS, False, False),
     # s_off = 1.0000000000004, s_def = 1.0: the ceiling binds at N = 60
@@ -188,26 +192,72 @@ CLAMP_CASES = {
     # s_off rounds below 1: the defense's stencil drops past -1 at N = 60,
     # but the offense's keeps their maximum above it
     "offense_sum_below_1": ((0.05, 0.0, 0.9499999999996, 0.01, 0.9400000000004, 0.05), False, True),
+    "sure_draw_defense": ((0.45, 0.0, 0.55, 0.0, 1.0, 0.0), False, False),
+    # values decay polynomially and never round to -1 or +1
+    "fair_non_safe": ((0.40, 0.0, 0.60, 0.15, 0.70, 0.15), False, False),
+    # a sure-loss defense: the whole band freezes at -1
+    "whole_band_freezes": ((0.3, 0.0, 0.7, 0.0, 0.0, 1.0), False, False),
+    # s_off = 1.0 < s_def: a cell frozen at -1 attacks
+    "low_bit": ((0.05, 0.0, 0.95, 0.01, 0.9400000000004, 0.05), False, True),
+    # s_off > s_def = 1.0: a cell frozen at +1 attacks
+    "high_bit": ((0.9500000000004, 0.0, 0.05, 0.05, 0.94, 0.01), True, False),
 }
 
 
+def case_spec(name):
+    return make_spec(*CLAMP_CASES[name][0])
+
+
+def style_sums(spec):
+    return [(style.win + style.loss) + style.draw for style in (spec.offense, spec.defense)]
+
+
 class TestClampCases:
-    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 150, 400])
     @pytest.mark.parametrize("case", CLAMP_CASES.values(), ids=list(CLAMP_CASES))
     def test_sweep_keeps_the_reference_bits(self, case, n):
         probs, offense_above, defense_above = case
         spec = make_spec(*probs)
-        sums = [(style.win + style.loss) + style.draw for style in (spec.offense, spec.defense)]
-        assert [s > 1.0 for s in sums] == [offense_above, defense_above]
-        gains, value_rows, policy_rows, _ = reference_sweep(spec, n, prune=True)
+        assert [s > 1.0 for s in style_sums(spec)] == [offense_above, defense_above]
+        gains, value_rows, policy_rows, evaluations = reference_sweep(spec, n, prune=True)
         tables = _bellman_sweep(spec, n, tables=True)
         for sweep in (_bellman_sweep(spec, n), tables):
             assert sweep.gains.tobytes() == np.array(gains).tobytes()
+            assert sweep.evaluations == evaluations
+            assert sweep.computed <= evaluations
         for got, want in zip(tables.value_rows, value_rows, strict=True):
             assert got.tobytes() == np.array(want).tobytes()
             assert np.all(np.abs(got) <= 1.0)
         for got, want in zip(tables.policy_rows, policy_rows, strict=True):
             assert got.tobytes() == np.array(want, dtype=np.uint8).tobytes()
+
+    def test_the_bit_specs_have_the_sums_they_name(self):
+        assert style_sums(case_spec("low_bit")) == [1.0, 1.0000000000004]
+        assert style_sums(case_spec("high_bit")) == [1.0000000000004, 1.0]
+
+
+class TestFrontier:
+    @pytest.mark.parametrize("n, share", [(400, 0.70), (2000, 0.35)])
+    def test_chess_skips_its_frozen_cells(self, chess, n, share):
+        sweep = _bellman_sweep(chess, n)
+        assert sweep.computed <= share * sweep.evaluations
+
+    def test_a_spec_that_never_rounds_to_one_computes_the_whole_band(self):
+        # fair non-safe values decay polynomially and never reach -1 or +1
+        sweep = _bellman_sweep(case_spec("fair_non_safe"), 2000)
+        assert sweep.computed == sweep.evaluations
+
+    def test_an_offense_sum_below_1_never_reaches_the_low_side(self):
+        # pl 4e-13 below low_bit's: s_off < 1, so no band cell reads -1 and the
+        # low frontier follows the band's edge; at s_off = 1 the cells freeze
+        below = _bellman_sweep(case_spec("offense_sum_below_1"), 400, tables=True)
+        at_1 = _bellman_sweep(case_spec("low_bit"), 400, tables=True)
+        assert min(row.min() for row in below.value_rows) > -1.0
+        assert min(row.min() for row in at_1.value_rows) == -1.0
+
+    def test_tables_narrow_past_the_frozen_cells(self):
+        sweep = _bellman_sweep(case_spec("low_bit"), 400, tables=True)
+        assert sweep.computed < 0.5 * sweep.evaluations
 
 
 class TestGainCurve:
