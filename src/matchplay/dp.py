@@ -24,7 +24,9 @@ exactly -1 computes exactly -s per style, s = (win + loss) + draw in floats,
 so once both sums reach 1 it reads -1 again after the clamp; likewise +1 when
 either sum reaches 1. The weak player's long matches are lost almost surely,
 so at long horizons most of the band freezes at -1, and the sweep computes
-only the window between the frozen runs, with the same bits.
+only the window between the frozen runs, with the same bits. The tables that
+``solve`` returns keep only those windows too: a lookup below a window reads
+-1 and one above it +1, with the frozen side's policy bit.
 """
 
 from __future__ import annotations
@@ -43,23 +45,16 @@ DEFAULT_VALUE_HORIZON_BUDGET = analytic.DEFAULT_VALUE_HORIZON_BUDGET
 DEFAULT_TABLE_HORIZON_BUDGET = 20_000
 
 
-# The frontier rescan runs every _RESCAN_STAGES stages, and a stored table row
-# narrows to the active window only when at least _NARROW_MIN_FROZEN band cells
-# are frozen. A narrowed row makes a few more numpy calls than a full one, so
-# it pays only past about a hundred frozen cells. Timed against a sweep without
-# the frontier, tables mode on weak specs (bench/workloads.weak_specs), process
-# time on 2 shared vCPUs: narrowing from 128 frozen cells ran 4-5% slower at
-# N <= 548 and 3-5% faster at N = 838 and 1585, where never narrowing ran 4-6%
-# slower; narrowing from 64 ran 7% slower at N = 358. Rescans every 4, 8, 16 or
-# 32 stages timed the same within noise.
+# The frontier rescan runs every _RESCAN_STAGES stages. Timed against a sweep
+# without the frontier on weak specs (bench/workloads.weak_specs), rescans every
+# 4, 8, 16 or 32 stages ran the same within noise.
 _RESCAN_STAGES = 8
-_NARROW_MIN_FROZEN = 128
 
 
 class _Sweep(NamedTuple):
     gains: np.ndarray
-    value_rows: list | None
-    policy_rows: list | None
+    values: ValueTable | None
+    policy: PolicyTable | None
     evaluations: int
     computed: int  # the cells the stencil evaluated, at most ``evaluations``
 
@@ -75,8 +70,9 @@ def _bellman_sweep(
     Stage k evaluates the Bellman operator on the undecided reachable band,
     |score| <= min(k, n_max - k). Cells outside it always hold sign(score),
     which is the exact value of every decided state. With ``tables`` the
-    sweep also keeps every stage's value and policy row. ``evaluations``
-    counts the band's cells, ``computed`` the cells the stencil evaluated.
+    sweep also returns the value and policy tables of every stage.
+    ``evaluations`` counts the band's cells, ``computed`` the cells the
+    stencil evaluated.
 
     A stage allocates nothing but the rows it keeps: both styles' expectations
     are written into scratch rows allocated once per call, and their maximum
@@ -109,12 +105,10 @@ def _bellman_sweep(
     at score 0 so no window is empty. A rescan starts from the frontier, not
     from the band's edge, so it never walks the whole frozen run again.
 
-    Stored value rows keep the whole band: frozen cells already hold -1 or +1
-    in the buffer. A policy row narrows only when at least
-    ``_NARROW_MIN_FROZEN`` cells are frozen; it is then zeros, the frozen
-    side's constant bit, and ``off > dfn`` on the window. Otherwise the row
-    is computed over the whole band, which recomputes the frozen cells to
-    the same bits.
+    A stored row is the computed window alone, one copy of the values and
+    the bits ``off > dfn``, with the window's offset in its band; the tables
+    read a band cell below the window as -1 with ``low_bit`` and one above it
+    as +1 with ``high_bit``, the bits it would have been given.
     """
     (pw, pd, pl), (qw, qd, ql) = map(analytic.style_coefficients, (spec.offense, spec.defense))
     s_off, s_def = ((style.win + style.loss) + style.draw for style in (spec.offense, spec.defense))
@@ -122,15 +116,14 @@ def _bellman_sweep(
     floor = np.array(-1.0) if min(s_off, s_def) > 1.0 else None
     # the policy bit of a cell frozen at -1 (low) or +1 (high)
     low_bit, high_bit = s_off < s_def, s_off > s_def
-    multiply, add, maximum, minimum, greater = np.multiply, np.add, np.maximum, np.minimum, np.greater
+    multiply, add, maximum, minimum = np.multiply, np.add, np.maximum, np.minimum
     center = n_max + 1
     xs = np.arange(-center, center + 1)
     buf = np.sign(xs).astype(np.float64)  # U_0 plus one guard cell per side
     cells = memoryview(buf)
     off_row, def_row, tmp_row = np.empty((3, 2 * n_max + 1))
     gains = [0.0]
-    value_rows = [np.zeros(1)] if tables else None
-    policy_rows = [] if tables else None
+    value_rows, policy_rows, starts = [np.zeros(1)], [], [0]
     first = last = center  # U_0 reads -1 below score 0 and +1 above it
     computed = 0
     for k in range(1, n_max + 1):
@@ -139,13 +132,10 @@ def _bellman_sweep(
         lo, hi = center - band, center + band
         first = first - 1 if first > lo else lo
         last = last + 1 if last < hi else hi
-        start, stop = first, last
-        if tables and (start - lo) + (hi - stop) < _NARROW_MIN_FROZEN:
-            start, stop = lo, hi
-        width = stop - start + 1
-        up = buf[start + 1 : stop + 2]
-        mid = buf[start : stop + 1]
-        down = buf[start - 1 : stop]
+        width = last - first + 1
+        up = buf[first + 1 : last + 2]
+        mid = buf[first : last + 1]
+        down = buf[first - 1 : last]
         off, dfn, tmp = off_row[:width], def_row[:width], tmp_row[:width]
         # (w*up + l*down) + d*mid: this association makes the stencil exactly
         # antisymmetric for fair styles, so a fair defense floors the computed
@@ -171,19 +161,9 @@ def _bellman_sweep(
         if floor is not None:
             maximum(mid, floor, out=mid)
         if tables:
-            if start == lo and stop == hi:
-                policy_rows.append((off > dfn).view(np.uint8))
-                value_rows.append(mid.copy())
-            else:
-                # a bool row: greater writes bool, and a uint8 ``out`` costs a cast
-                policy = np.zeros(hi - lo + 1, bool)
-                if low_bit:
-                    policy[: start - lo] = True
-                elif high_bit:
-                    policy[stop - lo + 1 :] = True
-                greater(off, dfn, out=policy[start - lo : stop - lo + 1])
-                policy_rows.append(policy.view(np.uint8))
-                value_rows.append(buf[lo : hi + 1].copy())
+            value_rows.append(mid.copy())
+            policy_rows.append((off > dfn).view(np.uint8))
+            starts.append(first - lo)
         gains.append(cells[center])
         if not k % _RESCAN_STAGES:
             while first < center and cells[first] == -1.0:
@@ -192,7 +172,9 @@ def _bellman_sweep(
                 last -= 1
     # the band's cells, the sum over k of 2 * min(k, n_max - k) + 1
     evaluations = n_max + 2 * (n_max * n_max // 4)
-    return _Sweep(np.array(gains), value_rows, policy_rows, evaluations, computed)
+    values = ValueTable(n_max, evaluations, value_rows, starts) if tables else None
+    policy = PolicyTable(n_max, policy_rows, starts, low_bit, high_bit) if tables else None
+    return _Sweep(np.array(gains), values, policy, evaluations, computed)
 
 
 def _lattice_point(games_remaining, score) -> tuple[int, int]:
@@ -223,48 +205,76 @@ def _band(horizon: int, games_remaining: int, largest: int, first_stage: int) ->
     return games_remaining if games_remaining < rest else rest
 
 
+def _expanded(row: np.ndarray, start: int, band: int, below, above) -> np.ndarray:
+    """A window ``row`` stored ``start`` cells into a band as the whole band."""
+    full = np.full(2 * band + 1, above, row.dtype)
+    full[:start] = below
+    full[start : start + len(row)] = row
+    return full
+
+
 @dataclass(frozen=True)
 class ValueTable:
     """Optimal values on the (games remaining, score) lattice of one horizon.
 
-    Row k stores values for |score| <= min(k, horizon - k), the scores the
-    match can still reach with an undecided result. Everything outside that
-    band reads as sign(score): either the result is forced or the score is
+    Row k stores the values the sweep computed at stage k, a window that
+    starts ``starts[k]`` cells into the band |score| <= min(k, horizon - k),
+    the scores the match can still reach with an undecided result. Every
+    score below the window reads -1 and every one above it +1: the band
+    cells there are frozen at exactly that value, and a score outside the
+    band reads sign(score), as either the result is forced or the score is
     impossible this late in the match.
     """
 
     horizon: int
     evaluations: int
     rows: list = field(repr=False)
+    starts: list = field(repr=False)
 
     def value(self, games_remaining: int, score: int) -> float:
         k, x = _lattice_point(games_remaining, score)
-        band = _band(self.horizon, k, abs(x), 0)
-        if abs(x) > band:
-            return float((x > 0) - (x < 0))
-        return float(self.rows[k][x + band])
+        # the window holds score 0, so a score outside the band also lies
+        # outside the window, on the side of its sign
+        i = x + _band(self.horizon, k, abs(x), 0) - self.starts[k]
+        row = self.rows[k]
+        return -1.0 if i < 0 else float(row[i]) if i < len(row) else 1.0
 
     @property
     def gain(self) -> float:
         return self.value(self.horizon, 0)
+
+    def _expanded_row(self, k: int) -> np.ndarray:
+        """The values of the whole band at stage k."""
+        band = _band(self.horizon, k, 0, 0)
+        return _expanded(self.rows[k], self.starts[k], band, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
 class PolicyTable:
     """Optimal actions on the same lattice, ties resolved toward defense.
 
-    Actions are stored for the undecided reachable band of each stage; every
-    other query returns defense by convention, the choice there cannot change
-    the match result.
+    Row k - 1 stores the offense bits of the window the sweep computed at
+    stage k, which starts ``starts[k]`` cells into the band. A band cell below
+    the window plays ``low_bit`` and one above it ``high_bit``, the bits of a
+    cell frozen at -1 and at +1. Every query outside the band returns defense
+    by convention, the choice there cannot change the match result.
     """
 
     horizon: int
     rows: list = field(repr=False)
+    starts: list = field(repr=False)
+    low_bit: bool
+    high_bit: bool
 
     def action(self, games_remaining: int, score: int) -> Action:
         k, x = _lattice_point(games_remaining, score)
         band = _band(self.horizon, k, abs(x), 1)
-        return Action.OFF if abs(x) <= band and self.rows[k - 1][x + band] else Action.DEF
+        if abs(x) > band:
+            return Action.DEF
+        i = x + band - self.starts[k]
+        row = self.rows[k - 1]
+        bit = self.low_bit if i < 0 else row[i] if i < len(row) else self.high_bit
+        return Action.OFF if bit else Action.DEF
 
     def offense_mask(self, games_remaining: int, scores: np.ndarray) -> np.ndarray:
         """Vectorised ``action(...) is Action.OFF`` over an array of scores."""
@@ -276,7 +286,17 @@ class PolicyTable:
         largest = max(int(scores.max(initial=0)), -int(scores.min(initial=0)))
         band = _band(self.horizon, k, largest, 1)
         scores = scores.astype(np.int64, copy=False)  # exact: |scores| <= horizon
-        return (np.abs(scores) <= band) & (self.rows[k - 1].take(scores + band, mode="clip") != 0)
+        row, start = self.rows[k - 1], self.starts[k]
+        if len(row) <= 2 * band:
+            # a window narrower than the band: the frozen sides' bits on its
+            # ends, where ``take`` clips every index beyond them
+            row, start = np.concatenate(([self.low_bit], row, [self.high_bit])), start - 1
+        return (np.abs(scores) <= band) & (row.take(scores + (band - start), mode="clip") != 0)
+
+    def _expanded_row(self, k: int) -> np.ndarray:
+        """The offense bits of the whole band at stage k."""
+        band = _band(self.horizon, k, 0, 1)
+        return _expanded(self.rows[k - 1], self.starts[k], band, self.low_bit, self.high_bit)
 
 
 class SolveResult(NamedTuple):
@@ -310,15 +330,18 @@ def solve(
     """Optimal value and policy tables for an ``n_games`` match.
 
     Returns (values, policy, gain) with gain = values.value(n_games, 0).
-    Storing both tables costs O(N^2) memory, so the default budget is
-    20,000 stages; raise ``max_horizon`` knowingly.
+    The tables keep the window the sweep computed at each stage, 9 bytes a
+    cell (a float64 value and a uint8 policy bit). For a spec that never
+    freezes a cell at -1 or +1, a fair non-safe defense say, every window is
+    the whole undecided band, about N^2 / 2 cells or 1700 MB at N = 20,000;
+    the weak player's long matches freeze most of it, and the CHESS spec of
+    ``verify`` keeps 9.7% at that horizon, a 205 MB peak. So the default
+    budget is 20,000 stages; raise ``max_horizon`` knowingly.
     """
     require_instance(spec, MatchSpec)
     n = require_horizon(n_games, max_horizon, DEFAULT_TABLE_HORIZON_BUDGET)
     sweep = _bellman_sweep(spec, n, tables=True)
-    values = ValueTable(n, sweep.evaluations, sweep.value_rows)
-    policy = PolicyTable(n, sweep.policy_rows)
-    return SolveResult(values, policy, float(sweep.gains[n]))
+    return SolveResult(sweep.values, sweep.policy, float(sweep.gains[n]))
 
 
 def gain_curve(

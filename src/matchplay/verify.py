@@ -179,7 +179,8 @@ def _check_g2_chess() -> Check:
 
 
 def _check_score_monotonicity() -> Check:
-    rows = [row for spec in SPEC_GRID for row in dp.solve(spec, 48).values.rows]
+    tables = [dp.solve(spec, 48).values for spec in SPEC_GRID]
+    rows = [table._expanded_row(k) for table in tables for k in range(49)]
     worst = max((0.0, *(float(np.max(row[:-1] - row[1:])) for row in rows if len(row) > 1)))
     bounded = not any(np.max(np.abs(row)) > 1.0 for row in rows)
     return Check("score_monotonicity", bounded and worst <= EXACT_TOL, _fmt(worst))

@@ -1,6 +1,7 @@
-"""Shared fixtures: reference match specs, two reference Bellman sweeps, an
-allocating forward stencil and the walk through it, a
-one-sample-at-a-time Monte Carlo replay, and a fresh-interpreter runner."""
+"""Shared fixtures: reference match specs, three reference Bellman sweeps
+and the full-band rows of a solved table, an allocating forward stencil and
+the walk through it, a one-sample-at-a-time Monte Carlo replay, and a
+fresh-interpreter runner."""
 
 from __future__ import annotations
 
@@ -80,6 +81,45 @@ def reference_sweep(spec: MatchSpec, n_max: int, prune: bool):
         policy_rows.append([off[x] > dfn[x] for x in kept])
         gains.append(buf[center])
     return gains, value_rows, policy_rows, evaluations
+
+
+def band_reference(spec: MatchSpec, n_max: int):
+    """The banded recursion in numpy, every stage over its whole band.
+
+    Same association and band as ``dp._bellman_sweep``, but no frontier: each
+    stage computes every cell of |score| <= min(k, n_max - k) into fresh
+    arrays and always clamps both sides with ``np.clip``. Returns (gains,
+    value rows, policy rows, evaluations) as ``reference_sweep`` does, with
+    the rows as float64 and uint8 arrays.
+    """
+    (pw, pd, pl), (qw, qd, ql) = ((s.win, s.draw, s.loss) for s in (spec.offense, spec.defense))
+    center = n_max + 1
+    buf = np.sign(np.arange(-center, center + 1)).astype(np.float64)
+    gains, value_rows, policy_rows, evaluations = [0.0], [np.zeros(1)], [], 0
+    for k in range(1, n_max + 1):
+        band = min(k, n_max - k)
+        lo, hi = center - band, center + band + 1
+        up, mid, down = buf[lo + 1 : hi + 1], buf[lo:hi], buf[lo - 1 : hi - 1]
+        off = (pw * up + pl * down) + pd * mid
+        dfn = (qw * up + ql * down) + qd * mid
+        row = np.clip(np.maximum(off, dfn), -1.0, 1.0)
+        buf = buf.copy()
+        buf[lo:hi] = row
+        value_rows.append(row)
+        policy_rows.append((off > dfn).astype(np.uint8))
+        gains.append(row[band])
+        evaluations += 2 * band + 1
+    return np.array(gains), value_rows, policy_rows, evaluations
+
+
+def expanded_rows(result) -> tuple[list, list]:
+    """The full-band value rows (stages 0..N) and policy rows (1..N) of a solve."""
+    values, policy = result.values, result.policy
+    n = values.horizon
+    return (
+        [values._expanded_row(k) for k in range(n + 1)],
+        [policy._expanded_row(k) for k in range(1, n + 1)],
+    )
 
 
 def exact_bellman_gains(spec: MatchSpec, n_max: int) -> list[Fraction]:

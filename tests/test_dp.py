@@ -30,7 +30,15 @@ from matchplay import analytic, dp
 from matchplay.dp import POLICY_LABELS, _bellman_sweep
 from matchplay.verify import SPEC_GRID
 
-from conftest import CHESS_PROBS, GRIND_PROBS, exact_bellman_gains, make_spec, reference_sweep
+from conftest import (
+    CHESS_PROBS,
+    GRIND_PROBS,
+    band_reference,
+    exact_bellman_gains,
+    expanded_rows,
+    make_spec,
+    reference_sweep,
+)
 
 EXACT_TOL = 1e-12
 
@@ -160,10 +168,11 @@ class TestPruning:
             pruned = solve(spec, n)
             gains, value_rows, policy_rows, _ = reference_sweep(spec, n, prune=False)
             assert pruned.gain == gains[n]
-            for k in range(n + 1):
-                assert np.array_equal(pruned.values.rows[k], value_rows[k])
-            for k in range(n):
-                assert np.array_equal(pruned.policy.rows[k], policy_rows[k])
+            got_values, got_policy = expanded_rows(pruned)
+            for got, want in zip(got_values, value_rows, strict=True):
+                assert np.array_equal(got, want)
+            for got, want in zip(got_policy, policy_rows, strict=True):
+                assert np.array_equal(got, want)
 
     def test_curve_same_bits(self, chess):
         a = gain_curve(chess, 64).gains["optimal"]
@@ -220,15 +229,23 @@ class TestClampCases:
         spec = make_spec(*probs)
         assert [s > 1.0 for s in style_sums(spec)] == [offense_above, defense_above]
         gains, value_rows, policy_rows, evaluations = reference_sweep(spec, n, prune=True)
+        # the numpy reference that the long-horizon property trusts
+        band_gains, band_values, band_policy, band_cells = band_reference(spec, n)
+        assert band_gains.tobytes() == np.array(gains).tobytes() and band_cells == evaluations
+        for got, want in zip(band_values, value_rows, strict=True):
+            assert got.tobytes() == np.array(want).tobytes()
+        for got, want in zip(band_policy, policy_rows, strict=True):
+            assert got.tobytes() == np.array(want, dtype=np.uint8).tobytes()
         tables = _bellman_sweep(spec, n, tables=True)
         for sweep in (_bellman_sweep(spec, n), tables):
             assert sweep.gains.tobytes() == np.array(gains).tobytes()
             assert sweep.evaluations == evaluations
             assert sweep.computed <= evaluations
-        for got, want in zip(tables.value_rows, value_rows, strict=True):
+        got_values, got_policy = expanded_rows(tables)
+        for got, want in zip(got_values, value_rows, strict=True):
             assert got.tobytes() == np.array(want).tobytes()
             assert np.all(np.abs(got) <= 1.0)
-        for got, want in zip(tables.policy_rows, policy_rows, strict=True):
+        for got, want in zip(got_policy, policy_rows, strict=True):
             assert got.tobytes() == np.array(want, dtype=np.uint8).tobytes()
 
     def test_the_bit_specs_have_the_sums_they_name(self):
@@ -252,12 +269,83 @@ class TestFrontier:
         # low frontier follows the band's edge; at s_off = 1 the cells freeze
         below = _bellman_sweep(case_spec("offense_sum_below_1"), 400, tables=True)
         at_1 = _bellman_sweep(case_spec("low_bit"), 400, tables=True)
-        assert min(row.min() for row in below.value_rows) > -1.0
-        assert min(row.min() for row in at_1.value_rows) == -1.0
+        assert min(row.min() for row in expanded_rows(below)[0]) > -1.0
+        assert min(row.min() for row in expanded_rows(at_1)[0]) == -1.0
 
     def test_tables_narrow_past_the_frozen_cells(self):
         sweep = _bellman_sweep(case_spec("low_bit"), 400, tables=True)
         assert sweep.computed < 0.5 * sweep.evaluations
+        assert sum(len(row) for row in sweep.values.rows[1:]) == sweep.computed
+        assert sum(len(row) for row in sweep.policy.rows) == sweep.computed
+
+
+class TestLookupsOutsideTheWindow:
+    """Lookups on window rows read the frozen sides as the full band did."""
+
+    # (probs, the side whose cells freeze, that side's policy bit)
+    CASES = {
+        "chess": (CHESS_PROBS, "low", False),
+        "low_bit": (CLAMP_CASES["low_bit"][0], "low", True),
+        "high_bit": (CLAMP_CASES["high_bit"][0], "high", True),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=list(CASES))
+    def test_every_lookup_matches_the_expanded_rows(self, case):
+        probs, side, bit = case
+        n = 2000
+        result = solve(make_spec(*probs), n)
+        values, policy = result.values, result.policy
+        assert (policy.high_bit if side == "high" else policy.low_bit) is bit
+        value_rows, policy_rows = expanded_rows(result)
+        scores = np.arange(-n, n + 1)
+        frozen = 0
+        # every score at every 16th stage: 8 million scalar lookups would take seconds
+        for k in sorted({*range(0, n + 1, 16), 1, n - 1, n}):
+            band = min(k, n - k)
+            start, width = values.starts[k], len(values.rows[k])
+            frozen += start if side == "low" else 2 * band + 1 - start - width
+            reach = min(k + 1, n)
+            xs = range(-reach, reach + 1)
+            # outside the band a score reads sign(score) and defends
+            want = np.sign(np.array(xs, dtype=float))
+            want[reach - band : reach + band + 1] = value_rows[k]
+            assert [values.value(k, x) for x in xs] == want.tolist()
+            if k:
+                bits = np.zeros(len(scores), bool)
+                bits[n - band : n + band + 1] = policy_rows[k - 1]
+                actions = [policy.action(k, x) is Action.OFF for x in xs]
+                assert actions == bits[n - reach : n + reach + 1].tolist()
+                assert policy.offense_mask(k, scores).tolist() == bits.tolist()
+        assert frozen > 0
+
+    @pytest.mark.parametrize("frozen_bit", [True, False])
+    def test_a_hand_built_table_reads_each_frozen_side(self, frozen_bit):
+        # horizon 6, bands 1, 2, 3, 2, 1, 0 at stages 1..6: stage 2's window
+        # leaves a frozen cell on each side, stage 3's one above it, stage 4's
+        # one below it, and the others cover their band. Window cells hold
+        # 0.5 and the bit the frozen sides do not have
+        n = 6
+        windows = {0: (0, 1), 1: (0, 3), 2: (1, 3), 3: (0, 6), 4: (1, 4), 5: (0, 3), 6: (0, 1)}
+        starts = [windows[k][0] for k in range(n + 1)]
+        value_rows = [np.full(windows[k][1], 0.5) for k in range(n + 1)]
+        policy_rows = [np.full(windows[k][1], not frozen_bit, np.uint8) for k in range(1, n + 1)]
+        values = dp.ValueTable(n, 0, value_rows, starts)
+        policy = dp.PolicyTable(n, policy_rows, starts, frozen_bit, frozen_bit)
+        scores = range(-n, n + 1)
+        for k in range(n + 1):
+            band = min(k, n - k)
+            start, width = windows[k]
+            # -1 below the window, 0 in it and +1 above it
+            where = [(i >= width) - (i < 0) for i in range(band - start - n, band - start + n + 1)]
+            want = [float(side) if side else 0.5 for side in where]
+            assert [values.value(k, x) for x in scores] == want
+            assert values._expanded_row(k).tolist() == want[n - band : n + band + 1]
+            if k:
+                frozen = [bool(side) for side in where]
+                bits = [abs(x) <= band and f == frozen_bit for x, f in zip(scores, frozen)]
+                assert [policy.action(k, x) is Action.OFF for x in scores] == bits
+                assert policy.offense_mask(k, np.array(scores)).tolist() == bits
+                assert policy._expanded_row(k).tolist() == bits[n - band : n + band + 1]
 
 
 class TestGainCurve:

@@ -2,8 +2,9 @@
 
 The Bellman sweep is checked byte for byte against a per-cell Python
 reference of the same recursion, over the undecided band and over the full
-reachable triangle, and the solver against the exhaustive oracle on
-short-decimal specs. The forward evaluator is checked byte for byte against
+reachable triangle, at long horizons against a numpy reference without the
+frontier, and the solver against the exhaustive oracle on short-decimal
+specs. The forward evaluator is checked byte for byte against
 a walk through the allocating reference stencil, and against the trinomial
 closed form; the one-pass protect-the-lead curves bit for bit against
 evaluating each horizon, and Monte Carlo estimates against exact gains and
@@ -12,6 +13,8 @@ Examples are derandomized, so every run draws the same specs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -39,6 +42,8 @@ from matchplay.policies import as_policy
 from matchplay.sim import _final_signs
 
 from conftest import (
+    band_reference,
+    expanded_rows,
     reference_final_signs,
     reference_stages,
     reference_step,
@@ -75,6 +80,40 @@ def specs(draw):
     return MatchSpec.from_probs(pw, pd + slack, pl, qw, qd, ql)
 
 
+def _with_sum(win, loss, side, slack):
+    """(win, draw, loss) whose sum ``(win + loss) + draw`` is 1, above or below it.
+
+    At ``side`` 0 the draw is ``1 - (win + loss)``, which makes the sum exactly
+    1. Otherwise the draw moves ``slack`` toward ``side`` and then an ulp at a
+    time until the sum lies on that side of 1.
+    """
+    draw = 1.0 - (win + loss) + side * slack
+    while ((win + loss) + draw > 1.0) - ((win + loss) + draw < 1.0) != side:
+        draw = math.nextafter(draw, side * math.inf)
+    return win, draw, loss
+
+
+@st.composite
+def sum_specs(draw):
+    """Specs whose style sums are exactly 1, or an ulp or 4e-13 above or below it.
+
+    The sums decide whether the sweep can freeze a cell at -1 (both at least
+    1) or +1 (either at least 1) and the policy bit a frozen cell keeps.
+    Either both styles lose, and long matches freeze at -1, or the offense
+    wins, and they freeze at +1.
+    """
+    losing = draw(st.booleans())
+    pd = draw(st.floats(1e-3, 0.3))
+    qd = draw(st.floats(pd, 0.95))
+    probs = []
+    for d, wins in ((pd, not losing), (qd, False)):
+        share = draw(st.floats(0.55, 0.95) if wins else st.floats(0.05, 0.45))
+        win = (1.0 - d) * share
+        side = draw(st.sampled_from((-1, 0, 1)))
+        probs += _with_sum(win, 1.0 - d - win, side, draw(st.sampled_from((0.0, 4e-13))))
+    return MatchSpec.from_probs(*probs)
+
+
 @st.composite
 def short_decimal_specs(draw):
     """Specs in whole hundredths, which the integer oracle takes exactly."""
@@ -99,14 +138,31 @@ def test_sweep_matches_the_per_cell_reference_bit_for_bit(prune, spec, n):
     for sweep in (curve, tables):
         assert sweep.gains.tobytes() == np.array(gains).tobytes()
         assert sweep.evaluations == band_cells
-    assert len(tables.value_rows) == len(value_rows) == n + 1
-    for got, want in zip(tables.value_rows, value_rows):
+    got_values, got_policy = expanded_rows(tables)
+    assert len(got_values) == len(value_rows) == n + 1
+    for got, want in zip(got_values, value_rows):
         assert got.dtype == np.float64
         assert got.tobytes() == np.array(want).tobytes()
-    assert len(tables.policy_rows) == len(policy_rows) == n
-    for got, want in zip(tables.policy_rows, policy_rows):
+    assert len(got_policy) == len(policy_rows) == n
+    for got, want in zip(got_policy, policy_rows):
         assert got.dtype == np.uint8
         assert got.tobytes() == np.array(want, dtype=np.uint8).tobytes()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=14)
+@given(spec=sum_specs(), n=st.sampled_from((548, 1585, 3000)))
+def test_sweep_matches_the_band_reference_at_long_horizons(spec, n):
+    # the frontier skips most of the band here, the reference none of it
+    gains, value_rows, policy_rows, evaluations = band_reference(spec, n)
+    tables = _bellman_sweep(spec, n, tables=True)
+    for sweep in (_bellman_sweep(spec, n), tables):
+        assert sweep.gains.tobytes() == gains.tobytes()
+        assert sweep.evaluations == evaluations
+    got_values, got_policy = expanded_rows(tables)
+    for got, want in zip(got_values, value_rows, strict=True):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(got_policy, policy_rows, strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(PROPERTY_SETTINGS, max_examples=40)
