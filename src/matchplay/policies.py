@@ -391,10 +391,14 @@ def _scaled_probs(style) -> tuple[int, int, int]:
 def brute_force_optimal(spec: MatchSpec, n_games: int) -> float:
     """Exhaustive maximum of the expected final sign over all decision rules.
 
-    Enumerates every assignment of styles to reachable undecided states with
-    integer arithmetic over millionths, so the result is the correctly
-    rounded exact optimum. Exponential in the horizon; refuses more than 5
-    games. Inputs must be exact multiples of 1e-6.
+    Enumerates every joint assignment of styles to the reachable undecided
+    states, with integer arithmetic over millionths, and takes the maximum
+    over whole assignments, never split cell by cell; the result is therefore
+    the correctly rounded exact optimum. Each cell's moves per unit of mass
+    depend only on (games left, score, style), so they are built once per
+    call and every node scales them by its cell masses. Exponential in the
+    horizon; refuses more than 5 games. Inputs must be exact multiples of
+    1e-6.
     """
     require_instance(spec, MatchSpec)
     n = require_horizon(n_games)
@@ -404,37 +408,44 @@ def brute_force_optimal(spec: MatchSpec, n_games: int) -> float:
         )
     styles = (_scaled_probs(spec.offense), _scaled_probs(spec.defense))
     scale_pow = [_ORACLE_SCALE**k for k in range(n + 1)]
+    # settled[left][x] holds each style's value settled by the next game per
+    # unit of mass, in units of SCALE**n; children[left][x] holds each style's
+    # undecided children with their per-unit weights
+    settled, children = {}, {}
+    for left in range(1, n + 1):
+        unit = scale_pow[left - 1]
+        settled[left], children[left] = {}, {}
+        for x in range(left - n, n - left + 1):
+            cell_values, cell_kids = [], []
+            for units in styles:
+                value, style_kids = 0, []
+                for cx, u in zip((x + 1, x, x - 1), units):
+                    if u and abs(cx) >= left:
+                        value += (u if cx > 0 else -u) * unit
+                    elif u:
+                        style_kids.append((cx, u))
+                cell_values.append(value)
+                cell_kids.append(style_kids)
+            settled[left][x] = tuple(cell_values)
+            children[left][x] = cell_kids
 
     def best_from(played: int, mass: dict[int, int]) -> int:
         # mass maps undecided scores to integer weights over SCALE**played;
         # the return value is in units of SCALE**n
         left = n - played
-        unit = scale_pow[left - 1]
-        # each cell's settled value and undecided children under each style,
-        # built once per node and combined for every joint choice below
-        settled, children = [], []
-        for x, m in sorted(mass.items()):
-            cell_settled, cell_children = [], []
-            for units in styles:
-                value, kids = 0, []
-                for cx, u in zip((x + 1, x, x - 1), units):
-                    if u and abs(cx) >= left:
-                        value += (m * u if cx > 0 else -m * u) * unit
-                    elif u:
-                        kids.append((cx, m * u))
-                cell_settled.append(value)
-                cell_children.append(kids)
-            settled.append(cell_settled)
-            children.append(cell_children)
-        totals = map(sum, itertools.product(*settled))
+        row = settled[left]
+        values = [(m * row[x][0], m * row[x][1]) for x, m in mass.items()]
+        totals = map(sum, itertools.product(*values))
         if left == 1:
             # the last game leaves every child settled or level, worth 0
             return max(totals)
+        row = children[left]
+        kids = [[[(cx, m * u) for cx, u in style] for style in row[x]] for x, m in mass.items()]
         best = None
-        for total, choice in zip(totals, itertools.product(*children)):
+        for total, choice in zip(totals, itertools.product(*kids)):
             merged: dict[int, int] = {}
-            for kids in choice:
-                for cx, cm in kids:
+            for cell in choice:
+                for cx, cm in cell:
                     merged[cx] = merged.get(cx, 0) + cm
             value = total + (best_from(played + 1, merged) if merged else 0)
             if best is None or value > best:

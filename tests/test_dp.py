@@ -475,6 +475,20 @@ class TestExactAnchor:
             for n in range(1, 5):
                 assert float(exact[n]) == brute_force_optimal(spec, n)
 
+    @pytest.mark.parametrize(
+        ("probs", "want"),
+        [
+            (CHESS_PROBS, 0.0524903125),
+            ((0.20, 0.3, 0.50, 0.10, 0.60, 0.30), -0.4715),
+            ((0.30, 0.2, 0.50, 0.0, 1.0, 0.0), 0.0249),
+        ],
+        ids=["chess", "heavy_draw", "sure_draw"],
+    )
+    def test_the_oracle_at_its_horizon_budget(self, probs, want):
+        spec = make_spec(*probs)
+        # 5 is policies.ORACLE_MAX_HORIZON, the largest horizon the oracle takes
+        assert float(exact_bellman_gains(spec, 5)[5]) == brute_force_optimal(spec, 5) == want
+
 
 class TestBudgetsAndValidation:
     def test_solve_budget(self, chess):

@@ -20,7 +20,7 @@ from matchplay import (
     solve,
     table_policy,
 )
-from matchplay.sim import _final_signs
+from matchplay.sim import _final_signs, _round_uniforms
 
 from conftest import make_spec, reference_final_signs
 
@@ -57,6 +57,21 @@ class TestSimulateMatch:
     def test_sure_draw_defense_locks_the_score(self):
         spec = make_spec(0.3, 0.0, 0.7, 0.0, 1.0, 0.0)
         assert simulate_match(spec, "def", 10, 0) == 0
+
+
+class TestRoundStreams:
+    def test_round_uniforms_equal_the_jumped_substreams(self):
+        # rounds 2**64 - 1 and 2**64 cross the carry between counter words 2
+        # and 3; they run out of order on one generator, and 13 draws leave
+        # its output buffer part used, so a stale buffer would show
+        for key in (0, 2**64, 2**128 - 1):
+            bitgen = np.random.Philox(key=key)
+            for round_index in (2**64, 1, 2**64 - 1, 0, 2**64, 0, 1):
+                for offset in (0, 7):
+                    got = _round_uniforms(bitgen, round_index, 13, offset)
+                    jumped = np.random.Philox(key=key).jumped(round_index)
+                    want = np.random.Generator(jumped).random(offset + 13)[offset:]
+                    assert got.tobytes() == want.tobytes(), (key, round_index, offset)
 
 
 class TestEstimateGain:
