@@ -34,9 +34,10 @@ from .core import (  # noqa: F401  the limits are re-exported from core
 )
 from .errors import require_horizon
 
-# horizon budget of every value-only computation (curves, exact evaluation):
-# memory and time grow with the horizon, so a call past it raises before any
-# work unless its ``max_horizon`` says otherwise
+# horizon budget of every value-only computation (curves, exact evaluation)
+# here and in dp and policies, which read it at call time: memory and time
+# grow with the horizon, so a call past it raises before any work unless its
+# ``max_horizon`` says otherwise
 DEFAULT_VALUE_HORIZON_BUDGET = 100_000
 
 # terms per block of the trinomial sum: enough rows to amortise the numpy

@@ -5,8 +5,15 @@ the library, and emits a small table as CSV (default) or JSON. Output is
 byte-stable for identical inputs: floats are rendered with 17 significant
 digits, line endings are LF, and no locale-dependent formatting is used.
 
-Exit codes: 0 success, 2 invalid input, 3 over the resource budget, 4
-verification failure.
+Where the library returns a record, its fields are the columns, in
+declaration order: ``classify`` prints ``Classification``'s flags and then the
+drifts ``g1_off`` and ``g1_def``, ``simulate`` prints ``SimEstimate``, and
+``verify --out`` writes ``Check``. ``nstar`` and ``limits`` name their own
+columns.
+
+Exit codes: 0 success, 2 invalid input (a ``MatchPlayError``), 3 over the
+resource budget, 4 verification failure. Any other exception is a bug and
+propagates with its traceback.
 
 Each command imports the modules it uses when it runs, so a cold process pays
 only for those: ``classify`` and ``limits`` never import numpy.
@@ -18,9 +25,10 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
-from .core import POLICY_LABELS, MatchSpec, optimal_limit
+from .core import POLICY_LABELS, Classification, MatchSpec, optimal_limit
 from .errors import HorizonTooLarge, MatchPlayError
 
 EXIT_OK = 0
@@ -30,18 +38,7 @@ EXIT_VERIFY = 4
 
 _SPEC_FLAGS = ("pw", "pd", "pl", "qw", "qd", "ql")
 
-_CLASSIFY_COLUMNS = (
-    "weak",
-    "strictly_weak",
-    "safe_defense",
-    "fair_defense",
-    "fair_non_safe",
-    "defense_dominates_offense",
-    "offense_dominates_defense",
-    "g1_off",
-    "g1_def",
-)
-_CURVE_COLUMNS = ("N", "gain_opt", "gain_cat", "gain_catplus", "gain_off", "gain_def")
+_CLASSIFY_COLUMNS = (*(f.name for f in fields(Classification)), "g1_off", "g1_def")
 _CURVE_LABELS = {
     "gain_opt": "optimal",
     "gain_cat": "cat",
@@ -49,6 +46,7 @@ _CURVE_LABELS = {
     "gain_off": "off",
     "gain_def": "def",
 }
+_CURVE_COLUMNS = ("N", *_CURVE_LABELS)
 
 
 def _cell(value) -> str:
@@ -102,10 +100,8 @@ def _policy_from_label(label: str, spec: MatchSpec, horizon: int):
 
 def _cmd_classify(args) -> int:
     spec = _spec_from_args(args)
-    c = spec.classification
-    row = {name: getattr(c, name) for name in _CLASSIFY_COLUMNS[:7]}
-    row["g1_off"] = spec.offense.drift
-    row["g1_def"] = spec.defense.drift
+    row = asdict(spec.classification)
+    row.update(g1_off=spec.offense.drift, g1_def=spec.defense.drift)
     _emit([row], _CLASSIFY_COLUMNS, args)
     return EXIT_OK
 
@@ -115,12 +111,8 @@ def _cmd_curve(args) -> int:
 
     spec = _spec_from_args(args)
     curve = dp.gain_curve(spec, args.n_max, POLICY_LABELS)
-    rows = []
-    for i, n in enumerate(curve.horizons.tolist()):
-        row = {"N": int(n)}
-        for column, label in _CURVE_LABELS.items():
-            row[column] = float(curve.gains[label][i])
-        rows.append(row)
+    gains = [curve.gains[label].tolist() for label in _CURVE_LABELS.values()]
+    rows = [dict(zip(_CURVE_COLUMNS, row)) for row in zip(curve.horizons.tolist(), *gains)]
     _emit(rows, _CURVE_COLUMNS, args)
     return EXIT_OK
 
@@ -152,13 +144,7 @@ def _cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
     policy = _policy_from_label(args.policy, spec, args.horizon)
     estimate = sim.estimate_gain(spec, policy, args.horizon, args.samples, args.seed)
-    row = {
-        "mean": estimate.mean,
-        "std_error": estimate.std_error,
-        "samples": estimate.samples,
-        "seed": estimate.seed,
-    }
-    _emit([row], ("mean", "std_error", "samples", "seed"), args)
+    _emit([estimate._asdict()], sim.SimEstimate._fields, args)
     return EXIT_OK
 
 
@@ -175,19 +161,32 @@ def _cmd_verify(args) -> int:
     for check in checks:
         print(check.line())
     if args.out:
-        columns = ("name", "passed", "detail", "seconds")
-        _emit([{col: getattr(c, col) for col in columns} for c in checks], columns, args)
+        _emit([asdict(c) for c in checks], tuple(f.name for f in fields(verify.Check)), args)
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY
 
 
-def _add_spec_flags(parser: argparse.ArgumentParser, required: bool) -> None:
-    for flag in _SPEC_FLAGS:
-        parser.add_argument(f"--{flag}", type=float, required=required, default=None)
+_N_MAX = ("--n-max", {"type": int, "required": True})
+_SEED = ("--seed", {"type": int, "default": 0})
 
-
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--out", default=None, metavar="PATH")
+# name, help, handler, and the flags it takes besides the spec and output ones
+_COMMANDS = (
+    ("classify", "regime flags and one-game gains of a spec", _cmd_classify, ()),
+    ("curve", "per-horizon gains of the optimal and benchmark policies", _cmd_curve, (_N_MAX,)),
+    ("nstar", "horizon with the largest optimal gain", _cmd_nstar, (_N_MAX,)),
+    ("limits", "long-match limits for the spec's regime", _cmd_limits, ()),
+    (
+        "simulate",
+        "Monte Carlo gain estimate for a policy",
+        _cmd_simulate,
+        (
+            ("--horizon", {"type": int, "required": True}),
+            ("--samples", {"type": int, "default": 100_000}),
+            _SEED,
+            ("--policy", {"choices": POLICY_LABELS, "default": "optimal"}),
+        ),
+    ),
+    ("verify", "run the built-in verification checklist", _cmd_verify, (_SEED,)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,44 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solve and verify adaptive two-style match play.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="regime flags and one-game gains of a spec")
-    _add_spec_flags(p, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("curve", help="per-horizon gains of the optimal and benchmark policies")
-    _add_spec_flags(p, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_curve)
-
-    p = sub.add_parser("nstar", help="horizon with the largest optimal gain")
-    _add_spec_flags(p, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_nstar)
-
-    p = sub.add_parser("limits", help="long-match limits for the spec's regime")
-    _add_spec_flags(p, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_limits)
-
-    p = sub.add_parser("simulate", help="Monte Carlo gain estimate for a policy")
-    _add_spec_flags(p, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--policy", choices=POLICY_LABELS, default="optimal")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("verify", help="run the built-in verification checklist")
-    _add_spec_flags(p, required=False)
-    p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_verify)
-
+    for name, help_text, handler, extra_flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        # verify runs its checklist without a spec and adds one check with it
+        for flag in _SPEC_FLAGS:
+            p.add_argument(f"--{flag}", type=float, required=name != "verify", default=None)
+        for flag, options in extra_flags:
+            p.add_argument(flag, **options)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default=None, metavar="PATH")
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -248,7 +219,7 @@ def main(argv=None) -> int:
     except HorizonTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (MatchPlayError, ValueError) as exc:
+    except MatchPlayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

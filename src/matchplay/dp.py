@@ -41,7 +41,6 @@ from . import analytic
 from .core import POLICY_LABELS, Action, MatchSpec, require_instance
 from .errors import InvalidPolicy, InvalidState, require_horizon, require_integer
 
-DEFAULT_VALUE_HORIZON_BUDGET = analytic.DEFAULT_VALUE_HORIZON_BUDGET
 DEFAULT_TABLE_HORIZON_BUDGET = 20_000
 
 
@@ -359,7 +358,7 @@ def gain_curve(
     label. Value-only memory, so the default budget is 100,000 stages.
     """
     require_instance(spec, MatchSpec)
-    n = require_horizon(n_max, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_max, max_horizon, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
     # a bare string, None or another non-iterable is one label
     single = isinstance(policies, str) or not isinstance(policies, Iterable)
     labels = [policies] if single else list(policies)
@@ -399,7 +398,7 @@ def find_optimal_horizon(
 ) -> HorizonResult:
     """Horizon in 1..n_max with the largest optimal gain, smallest on ties."""
     require_instance(spec, MatchSpec)
-    n = require_horizon(n_max, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_max, max_horizon, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
     gains = _bellman_sweep(spec, n).gains
     best_n = int(np.argmax(gains[1:])) + 1  # argmax keeps the first maximum
     return HorizonResult(best_n, float(gains[best_n]))

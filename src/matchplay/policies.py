@@ -242,7 +242,7 @@ def exact_policy_gain(
     led); flag-blind policies use a single layer.
     """
     require_instance(spec, MatchSpec)
-    n = require_horizon(n_games, max_horizon, dp.DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_games, max_horizon, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
     policy = as_policy(policy)
     for layers in analytic.walk(n, _coefficients(spec, policy), policy.uses_lead_flag):
         pass
@@ -324,7 +324,7 @@ def lead_policy_curves(
     pin both curves bit for bit against evaluating each horizon separately.
     """
     require_instance(spec, MatchSpec)
-    n = require_horizon(n_max, max_horizon, dp.DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_max, max_horizon, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
     final = spec.offense if cat_plus_policy(spec).final_offense else spec.defense
     cat_gains = np.zeros(n)
     catplus_gains = np.zeros(n)

@@ -5,7 +5,10 @@ match draws from the substream ``Philox(key=seed).jumped(r)``, and sample i
 consumes the i-th value of that substream. A run keeps one keyed generator
 and reaches round r's substream by setting its state to the one ``jumped(r)``
 returns (counter ``[0, 0, r mod 2**64, r >> 64]``, output buffer empty),
-without building a new generator each round. A sample's outcome therefore
+without building a new generator each round. Each counter step yields four
+values, so a slice starting at sample ``offset`` sets counter word 0 to
+``offset // 4`` and drops only the first ``offset % 4`` values it draws,
+whatever the offset. A sample's outcome therefore
 depends only on (seed, sample index, round index), so estimates are
 reproducible bit-for-bit regardless of how samples are batched or
 partitioned across workers.
@@ -73,14 +76,16 @@ def simulate_match(spec: MatchSpec, policy, n_games: int, stream=None) -> int:
 
 
 def _round_uniforms(bitgen: np.random.Philox, round_index: int, count: int, offset: int = 0):
-    # the state Philox(key).jumped(round_index) starts from: the round in
-    # counter words 2-3 and an empty output buffer, so no value left over
-    # from the previous round is drawn
+    # the state Philox(key).jumped(round_index) reaches after the offset's
+    # whole 4-value blocks: the round in counter words 2-3, the blocks in
+    # word 0, and an empty output buffer, so no value left over from the
+    # previous round is drawn
     state = bitgen.state
-    state["state"]["counter"][:] = (0, 0, round_index % 2**64, round_index >> 64)
+    state["state"]["counter"][:] = (offset // 4, 0, round_index % 2**64, round_index >> 64)
     state.update(buffer_pos=4, has_uint32=0, uinteger=0)
     bitgen.state = state
-    return np.random.Generator(bitgen).random(offset + count)[offset:]
+    skip = offset % 4
+    return np.random.Generator(bitgen).random(skip + count)[skip:]
 
 
 def _pick(mask: np.ndarray, if_true: np.ndarray, if_false: np.ndarray) -> np.ndarray:

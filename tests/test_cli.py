@@ -30,6 +30,47 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+FAIR_NON_SAFE_PROBS = (0.3, 0.0, 0.7, 0.1, 0.8, 0.1)
+SURE_DRAW_PROBS = (0.45, 0.0, 0.55, 0.0, 1.0, 0.0)
+
+# golden file -> the command whose output it pins byte for byte
+_GOLDEN_COMMANDS = {
+    "classify_chess.csv": ["classify", *spec_flags(CHESS_PROBS)],
+    "classify_chess.json": ["classify", *spec_flags(CHESS_PROBS), "--format", "json"],
+    "limits_both_strictly_losing.csv": ["limits", *spec_flags(CHESS_PROBS)],
+    "limits_fair_non_safe.csv": ["limits", *spec_flags(FAIR_NON_SAFE_PROBS)],
+    "limits_safe_defense.csv": ["limits", *spec_flags(SURE_DRAW_PROBS)],
+    "simulate_chess_cat.csv": [
+        "simulate", *spec_flags(CHESS_PROBS),
+        "--policy", "cat", "--horizon", "6", "--samples", "5000", "--seed", "7",
+    ],
+    "simulate_one_sample.json": [
+        "simulate", *spec_flags(CHESS_PROBS),
+        "--horizon", "2", "--samples", "1", "--format", "json",
+    ],
+    "verify_out.csv": ["verify"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_COMMANDS))
+def test_output_matches_golden(name, capsys, monkeypatch, tmp_path):
+    argv = _GOLDEN_COMMANDS[name]
+    if argv[0] == "verify":
+        # one fixed check stands in for the checklist, whose seconds vary run to run
+        import matchplay.verify
+
+        check = matchplay.verify.Check("g2_chess", True, "0.08", 0.25)
+        monkeypatch.setattr(matchplay.verify, "run_checks", lambda **kw: [check])
+        target = tmp_path / name
+        code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert out == "g2_chess=0.08 PASS\n"
+        out = target.read_text(encoding="utf-8")
+    else:
+        code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 class TestClassify:
     def test_csv_output(self, capsys):
         code, out, err = run(capsys, "classify", *spec_flags(CHESS_PROBS))
@@ -71,7 +112,7 @@ class TestCurve:
         assert out == (GOLDEN / "curve_peak6.csv").read_text(encoding="utf-8")
 
     def test_golden_files_use_lf_endings(self):
-        for name in ("curve_peak4.csv", "curve_peak6.csv"):
+        for name in ("curve_peak4.csv", "curve_peak6.csv", *_GOLDEN_COMMANDS):
             data = (GOLDEN / name).read_bytes()
             assert b"\r" not in data and data.endswith(b"\n")
 
@@ -231,6 +272,17 @@ class TestExitCodes:
     def test_unknown_flag_exits_two(self, capsys):
         code, _, _ = run(capsys, "classify", "--bogus", "1")
         assert code == 2
+
+    def test_an_internal_value_error_is_not_reported_as_bad_input(self, monkeypatch):
+        # every bad input raises a MatchPlayError; a bare ValueError is a bug
+        import matchplay.dp
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(matchplay.dp, "gain_curve", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["curve", *spec_flags(CHESS_PROBS), "--n-max", "4"])
 
 
 def test_cli_import_leaves_scipy_out():

@@ -506,11 +506,13 @@ class TestBudgetsAndValidation:
 
     def test_a_raised_budget_reaches_every_route(self, chess, monkeypatch):
         want = gain_curve(chess, 8, POLICY_LABELS).gains
-        # a default of 4 stages stands in for a budget a caller raises past
+        # a default of 4 stages stands in for a budget a caller raises past;
+        # the one name in analytic is the budget of every value-only route
         monkeypatch.setattr(analytic, "DEFAULT_VALUE_HORIZON_BUDGET", 4)
-        monkeypatch.setattr(dp, "DEFAULT_VALUE_HORIZON_BUDGET", 4)
         with pytest.raises(HorizonTooLarge):
             gain_curve(chess, 8, POLICY_LABELS)
+        with pytest.raises(HorizonTooLarge):
+            find_optimal_horizon(chess, 8)
         got = gain_curve(chess, 8, POLICY_LABELS, max_horizon=8).gains
         for label in POLICY_LABELS:
             assert got[label].tobytes() == want[label].tobytes()

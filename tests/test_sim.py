@@ -63,11 +63,12 @@ class TestRoundStreams:
     def test_round_uniforms_equal_the_jumped_substreams(self):
         # rounds 2**64 - 1 and 2**64 cross the carry between counter words 2
         # and 3; they run out of order on one generator, and 13 draws leave
-        # its output buffer part used, so a stale buffer would show
+        # its output buffer part used, so a stale buffer would show; offsets
+        # 4 and 200_001 start a whole block and one value into a far block
         for key in (0, 2**64, 2**128 - 1):
             bitgen = np.random.Philox(key=key)
             for round_index in (2**64, 1, 2**64 - 1, 0, 2**64, 0, 1):
-                for offset in (0, 7):
+                for offset in (0, 7, 4, 200_001):
                     got = _round_uniforms(bitgen, round_index, 13, offset)
                     jumped = np.random.Philox(key=key).jumped(round_index)
                     want = np.random.Generator(jumped).random(offset + 13)[offset:]
