@@ -32,12 +32,12 @@ from .core import (  # noqa: F401  the limits are re-exported from core
     optimal_limit,
     require_instance,
 )
-from .errors import require_horizon
+from .errors import InvalidState, require_horizon, require_integer
 
 # horizon budget of every value-only computation (curves, exact evaluation)
-# here and in dp and policies, which read it at call time: memory and time
-# grow with the horizon, so a call past it raises before any work unless its
-# ``max_horizon`` says otherwise
+# here and in dp and policies: memory and time grow with the horizon, so a
+# call past it raises before any work. Every route reads this one name at
+# call time, so raising it is process-wide
 DEFAULT_VALUE_HORIZON_BUDGET = 100_000
 
 # terms per block of the trinomial sum: enough rows to amortise the numpy
@@ -51,9 +51,16 @@ def sign_expectation(mass: np.ndarray, center: int) -> float:
     The negative tail is summed in mirrored order (score -1, -2, ...) so that
     a bitwise symmetric distribution yields exactly 0.0. Rounding can carry a
     sure result an ulp past +-1, so the result is clamped to [-1, 1].
+    ``center`` must index ``mass``, or ``InvalidState`` is raised; a plain int
+    in range skips the general guard, as the curves call this once a stage.
     """
-    # np.add.reduce is what ndarray.sum runs, without its Python wrapper
-    gain = float(np.add.reduce(mass[center + 1 :])) - float(np.add.reduce(mass[center - 1 :: -1]))
+    if type(center) is not int or not 0 <= center < len(mass):
+        rule = f"center must be an integer in [0, {len(mass)})"
+        center = require_integer(center, InvalidState, rule, 0, len(mass))
+    # np.add.reduce is what ndarray.sum runs, without its Python wrapper;
+    # at center 0 no score lies below 0, and the reversed slice would wrap
+    below = float(np.add.reduce(mass[center - 1 :: -1])) if center else 0.0
+    gain = float(np.add.reduce(mass[center + 1 :])) - below
     if gain > 1.0:
         return 1.0
     if gain < -1.0:
@@ -162,9 +169,7 @@ def _trinomial_logs(style: StyleDistribution, n: int):
     return wins, losses, draws
 
 
-def fixed_style_positive_prob(
-    style: StyleDistribution, n_games: int, *, max_horizon: int | None = None
-) -> float:
+def fixed_style_positive_prob(style: StyleDistribution, n_games: int) -> float:
     """Probability that the final score is positive under a single style.
 
     Sums the trinomial mass over outcomes with more wins than losses,
@@ -183,7 +188,7 @@ def fixed_style_positive_prob(
     keeps it close to the triangle of valid (i, j).
     """
     require_instance(style, StyleDistribution)
-    n = require_horizon(n_games, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_games, DEFAULT_VALUE_HORIZON_BUDGET)
     wins, losses, draws = _trinomial_logs(style, n)
     # row j reads wins from j + 1 and draws from 2j + 1 decisive games on;
     # past N decisive games the draw factor is -inf, an exact 0 after exp,
@@ -208,12 +213,10 @@ def fixed_style_positive_prob(
     return min(total, 1.0)
 
 
-def fixed_style_draw_prob(
-    style: StyleDistribution, n_games: int, *, max_horizon: int | None = None
-) -> float:
+def fixed_style_draw_prob(style: StyleDistribution, n_games: int) -> float:
     """Probability that the final score is exactly zero under a single style."""
     require_instance(style, StyleDistribution)
-    n = require_horizon(n_games, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_games, DEFAULT_VALUE_HORIZON_BUDGET)
     wins, losses, draws = _trinomial_logs(style, n)
     half = n // 2 + 1
     # i wins and i losses, so 2i decisive games, for i = 0..N//2
@@ -221,32 +224,24 @@ def fixed_style_draw_prob(
     return min(float(np.exp(log_terms).sum()), 1.0)
 
 
-def fixed_style_gain(
-    style: StyleDistribution, n_games: int, *, max_horizon: int | None = None
-) -> float:
+def fixed_style_gain(style: StyleDistribution, n_games: int) -> float:
     """Expected sign of the final score when every game uses ``style``.
 
     Equals the positive-score probability of the style minus that of its
     mirror image, so a fair style scores exactly zero.
     """
-    n = require_horizon(n_games, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
-    # a raised budget reaches the inner calls; left unset, they keep the
-    # two-argument form that bench/tracer.py counts their work from
-    budget = {} if max_horizon is None else {"max_horizon": max_horizon}
-    positive = fixed_style_positive_prob(style, n, **budget)
-    return positive - fixed_style_positive_prob(style.mirror(), n, **budget)
+    n = require_horizon(n_games, DEFAULT_VALUE_HORIZON_BUDGET)
+    return fixed_style_positive_prob(style, n) - fixed_style_positive_prob(style.mirror(), n)
 
 
-def score_distribution(
-    style: StyleDistribution, n_games: int, *, max_horizon: int | None = None
-) -> np.ndarray:
+def score_distribution(style: StyleDistribution, n_games: int) -> np.ndarray:
     """Distribution of the final score via repeated one-game convolution.
 
     Returns a vector of length 2N + 1 indexed by score + N. Redundant with
     the trinomial sum on purpose; the two routes cross-check each other.
     """
     require_instance(style, StyleDistribution)
-    n = require_horizon(n_games, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_games, DEFAULT_VALUE_HORIZON_BUDGET)
     coefficients = style_coefficients(style)
     for (mass,) in walk(n, lambda *_: coefficients):
         pass
@@ -254,12 +249,10 @@ def score_distribution(
     return mass.copy()
 
 
-def fixed_style_gain_curve(
-    style: StyleDistribution, n_max: int, *, max_horizon: int | None = None
-) -> np.ndarray:
+def fixed_style_gain_curve(style: StyleDistribution, n_max: int) -> np.ndarray:
     """Expected final-score sign for every match length 1..n_max, in one pass."""
     require_instance(style, StyleDistribution)
-    n = require_horizon(n_max, max_horizon, DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_max, DEFAULT_VALUE_HORIZON_BUDGET)
     coefficients = style_coefficients(style)
     stages = walk(n, lambda *_: coefficients)
     next(stages)  # the start, before any game

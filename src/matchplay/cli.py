@@ -11,8 +11,9 @@ drifts ``g1_off`` and ``g1_def``, ``simulate`` prints ``SimEstimate``, and
 ``verify --out`` writes ``Check``. ``nstar`` and ``limits`` name their own
 columns.
 
-Exit codes: 0 success, 2 invalid input (a ``MatchPlayError``), 3 over the
-resource budget, 4 verification failure. Any other exception is a bug and
+Exit codes: 0 success, 2 invalid input (a ``MatchPlayError``, or a flag
+argparse rejects, such as an ``--out`` path in a missing directory), 3 over
+the resource budget, 4 verification failure. Any other exception is a bug and
 propagates with its traceback.
 
 Each command imports the modules it uses when it runs, so a cold process pays
@@ -80,6 +81,14 @@ def _emit(rows: list[dict], columns: tuple, args) -> None:
         Path(args.out).write_text(text, encoding="utf-8", newline="")
     else:
         sys.stdout.write(text)
+
+
+def _out_path(value: str) -> str:
+    """The type of ``--out``: a file path in an existing directory, checked before any work."""
+    path = Path(value)
+    if path.is_dir() or not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"{value!r} is not a file path in an existing directory")
+    return value
 
 
 def _spec_from_args(args) -> MatchSpec:
@@ -203,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, options in extra_flags:
             p.add_argument(flag, **options)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, metavar="PATH")
+        p.add_argument("--out", type=_out_path, default=None, metavar="PATH")
         p.set_defaults(handler=handler)
     return parser
 

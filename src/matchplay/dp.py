@@ -320,12 +320,7 @@ class GainCurve:
         return list(zip(self.horizons.tolist(), (float(g) for g in self.gains[label])))
 
 
-def solve(
-    spec: MatchSpec,
-    n_games: int,
-    *,
-    max_horizon: int | None = None,
-) -> SolveResult:
+def solve(spec: MatchSpec, n_games: int) -> SolveResult:
     """Optimal value and policy tables for an ``n_games`` match.
 
     Returns (values, policy, gain) with gain = values.value(n_games, 0).
@@ -334,31 +329,28 @@ def solve(
     freezes a cell at -1 or +1, a fair non-safe defense say, every window is
     the whole undecided band, about N^2 / 2 cells or 1700 MB at N = 20,000;
     the weak player's long matches freeze most of it, and the CHESS spec of
-    ``verify`` keeps 9.7% at that horizon, a 205 MB peak. So the default
-    budget is 20,000 stages; raise ``max_horizon`` knowingly.
+    ``verify`` keeps 9.7% at that horizon, a 205 MB peak. So the budget is
+    ``DEFAULT_TABLE_HORIZON_BUDGET``, 20,000 stages, read at call time; raise
+    it knowingly, as the change holds for the whole process.
     """
     require_instance(spec, MatchSpec)
-    n = require_horizon(n_games, max_horizon, DEFAULT_TABLE_HORIZON_BUDGET)
+    n = require_horizon(n_games, DEFAULT_TABLE_HORIZON_BUDGET)
     sweep = _bellman_sweep(spec, n, tables=True)
     return SolveResult(sweep.values, sweep.policy, float(sweep.gains[n]))
 
 
-def gain_curve(
-    spec: MatchSpec,
-    n_max: int,
-    policies: Iterable[str] = ("optimal",),
-    *,
-    max_horizon: int | None = None,
-) -> GainCurve:
+def gain_curve(spec: MatchSpec, n_max: int, policies: Iterable[str] = ("optimal",)) -> GainCurve:
     """Gains of the requested policies for every horizon 1..n_max.
 
     Labels: "optimal" (one backward sweep serves all horizons), "cat" and
     "catplus" (exact forward evaluation of the protect-the-lead policies),
     "off" and "def" (fixed styles via convolution); a bare string is one
-    label. Value-only memory, so the default budget is 100,000 stages.
+    label. Value-only memory, so every route is held to
+    ``analytic.DEFAULT_VALUE_HORIZON_BUDGET``, 100,000 stages, read at call
+    time.
     """
     require_instance(spec, MatchSpec)
-    n = require_horizon(n_max, max_horizon, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_max, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
     # a bare string, None or another non-iterable is one label
     single = isinstance(policies, str) or not isinstance(policies, Iterable)
     labels = [policies] if single else list(policies)
@@ -368,37 +360,29 @@ def gain_curve(
     unknown = [x for x in labels if not (isinstance(x, str) and x in POLICY_LABELS)]
     if unknown:
         raise InvalidPolicy(f"unknown policy labels {unknown}; choose from {POLICY_LABELS}")
-    # a raised budget reaches the other routes; left unset, the calls keep the
-    # form that bench/tracer.py counts their work from
-    budget = {} if max_horizon is None else {"max_horizon": max_horizon}
     curves: dict[str, np.ndarray] = {}
     if "optimal" in labels:
         curves["optimal"] = _bellman_sweep(spec, n).gains[1:]
     if "cat" in labels or "catplus" in labels:
         from . import policies as policy_mod  # deferred to avoid an import cycle
 
-        cat_curve, catplus_curve = policy_mod.lead_policy_curves(spec, n, **budget)
+        cat_curve, catplus_curve = policy_mod.lead_policy_curves(spec, n)
         if "cat" in labels:
             curves["cat"] = cat_curve
         if "catplus" in labels:
             curves["catplus"] = catplus_curve
     if "off" in labels:
-        curves["off"] = analytic.fixed_style_gain_curve(spec.offense, n, **budget)
+        curves["off"] = analytic.fixed_style_gain_curve(spec.offense, n)
     if "def" in labels:
-        curves["def"] = analytic.fixed_style_gain_curve(spec.defense, n, **budget)
+        curves["def"] = analytic.fixed_style_gain_curve(spec.defense, n)
     ordered = {label: curves[label] for label in POLICY_LABELS if label in curves}
     return GainCurve(np.arange(1, n + 1), ordered)
 
 
-def find_optimal_horizon(
-    spec: MatchSpec,
-    n_max: int,
-    *,
-    max_horizon: int | None = None,
-) -> HorizonResult:
+def find_optimal_horizon(spec: MatchSpec, n_max: int) -> HorizonResult:
     """Horizon in 1..n_max with the largest optimal gain, smallest on ties."""
     require_instance(spec, MatchSpec)
-    n = require_horizon(n_max, max_horizon, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_max, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
     gains = _bellman_sweep(spec, n).gains
     best_n = int(np.argmax(gains[1:])) + 1  # argmax keeps the first maximum
     return HorizonResult(best_n, float(gains[best_n]))

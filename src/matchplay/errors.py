@@ -68,17 +68,13 @@ def require_integer(value, error: type[MatchPlayError], rule: str, low=1, high=m
     return n
 
 
-def require_horizon(n_games, max_horizon=None, budget=None) -> int:
+def require_horizon(n_games, budget=None) -> int:
     """Validate a match length and return it as a plain int.
 
-    With a ``budget`` the length must also fit in ``max_horizon`` stages, or
-    in ``budget`` stages when ``max_horizon`` is None. ``max_horizon`` passes
-    the same integer guard as the length and raises ``InvalidHorizon``.
+    With a ``budget`` the length must also fit in ``budget`` stages. Callers
+    pass their module's budget constant, read at call time.
     """
     n = require_integer(n_games, InvalidHorizon, "match length must be a positive integer")
-    if max_horizon is not None:
-        rule = "stage budget must be a positive integer"
-        budget = require_integer(max_horizon, InvalidHorizon, rule)
     if budget is not None and n > budget:
         raise HorizonTooLarge(f"horizon {n} exceeds the configured budget of {budget} stages")
     return n

@@ -228,13 +228,7 @@ def _coefficients(spec: MatchSpec, policy: Policy):
     return coefficients
 
 
-def exact_policy_gain(
-    spec: MatchSpec,
-    policy,
-    n_games: int,
-    *,
-    max_horizon: int | None = None,
-) -> float:
+def exact_policy_gain(spec: MatchSpec, policy, n_games: int) -> float:
     """Expected final-score sign of ``policy`` over an ``n_games`` match.
 
     Exact forward propagation, O(N^2) time and O(N) memory. Policies that
@@ -242,7 +236,7 @@ def exact_policy_gain(
     led); flag-blind policies use a single layer.
     """
     require_instance(spec, MatchSpec)
-    n = require_horizon(n_games, max_horizon, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_games, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
     policy = as_policy(policy)
     for layers in analytic.walk(n, _coefficients(spec, policy), policy.uses_lead_flag):
         pass
@@ -288,31 +282,20 @@ class AugmentedDistribution:
         return max(abs(float(stage.sum()) - 1.0) for stage in self.stages)
 
 
-def propagate_policy(
-    spec: MatchSpec,
-    policy,
-    n_games: int,
-    *,
-    max_horizon: int | None = None,
-) -> AugmentedDistribution:
+def propagate_policy(spec: MatchSpec, policy, n_games: int) -> AugmentedDistribution:
     """Forward law of (score, led yet) after every game under ``policy``.
 
     Keeps all intermediate stages, so memory is quadratic in the horizon and
-    the default budget is 2,000 stages.
+    the budget is ``DEFAULT_PROPAGATE_HORIZON_BUDGET``, 2,000 stages.
     """
     require_instance(spec, MatchSpec)
-    n = require_horizon(n_games, max_horizon, DEFAULT_PROPAGATE_HORIZON_BUDGET)
+    n = require_horizon(n_games, DEFAULT_PROPAGATE_HORIZON_BUDGET)
     walk = analytic.walk(n, _coefficients(spec, as_policy(policy)), flagged=True)
     stages = [np.stack(layers) for layers in walk]
     return AugmentedDistribution(n, stages)
 
 
-def lead_policy_curves(
-    spec: MatchSpec,
-    n_max: int,
-    *,
-    max_horizon: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def lead_policy_curves(spec: MatchSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact protect-the-lead gains for every horizon 1..n_max, in one pass.
 
     The plain rule never looks at the horizon, so one forward pass under it
@@ -324,7 +307,7 @@ def lead_policy_curves(
     pin both curves bit for bit against evaluating each horizon separately.
     """
     require_instance(spec, MatchSpec)
-    n = require_horizon(n_max, max_horizon, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
+    n = require_horizon(n_max, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
     final = spec.offense if cat_plus_policy(spec).final_offense else spec.defense
     cat_gains = np.zeros(n)
     catplus_gains = np.zeros(n)
@@ -359,16 +342,14 @@ def _near_zero_after_last_game(layer: np.ndarray, center: int, style, final) -> 
     ]
 
 
-def cat_gain_curve(spec: MatchSpec, n_max: int, *, max_horizon: int | None = None) -> np.ndarray:
+def cat_gain_curve(spec: MatchSpec, n_max: int) -> np.ndarray:
     """Exact gain of the plain protect-the-lead policy for horizons 1..n_max."""
-    return lead_policy_curves(spec, n_max, max_horizon=max_horizon)[0]
+    return lead_policy_curves(spec, n_max)[0]
 
 
-def cat_plus_gain_curve(
-    spec: MatchSpec, n_max: int, *, max_horizon: int | None = None
-) -> np.ndarray:
+def cat_plus_gain_curve(spec: MatchSpec, n_max: int) -> np.ndarray:
     """Exact gain of the refined protect-the-lead policy for horizons 1..n_max."""
-    return lead_policy_curves(spec, n_max, max_horizon=max_horizon)[1]
+    return lead_policy_curves(spec, n_max)[1]
 
 
 def _scaled_probs(style) -> tuple[int, int, int]:
@@ -463,12 +444,7 @@ class IdentityReport(NamedTuple):
     catplus_envelope: np.ndarray
 
 
-def cat_plus_identity_check(
-    spec: MatchSpec,
-    n_max: int,
-    *,
-    max_horizon: int | None = None,
-) -> IdentityReport:
+def cat_plus_identity_check(spec: MatchSpec, n_max: int) -> IdentityReport:
     """Compare optimal gains against the refined protect-the-lead envelope.
 
     The envelope is the running best refined protect-the-lead gain floored at
@@ -487,8 +463,8 @@ def cat_plus_identity_check(
         raise RegimeNotCovered("the gain identity needs a defense that draws surely")
     if not spec.offense.win < spec.offense.loss - EQ_TOL:
         raise RegimeNotCovered("the gain identity needs a strictly losing offense")
-    optimal = dp.gain_curve(spec, n, max_horizon=max_horizon).gains["optimal"]
-    catplus = cat_plus_gain_curve(spec, n, max_horizon=max_horizon)
+    optimal = dp.gain_curve(spec, n).gains["optimal"]
+    catplus = cat_plus_gain_curve(spec, n)
     envelope = np.maximum(0.0, np.maximum.accumulate(catplus))
     gaps = np.abs(optimal - envelope)
     worst = int(np.argmax(gaps))

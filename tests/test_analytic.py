@@ -17,7 +17,7 @@ import pytest
 from matchplay import (
     AsymptoticVerdict,
     HorizonTooLarge,
-    InvalidHorizon,
+    InvalidState,
     Regime,
     RegimeNotCovered,
     cat_limit,
@@ -232,24 +232,25 @@ class TestHorizonBudget:
         ],
         ids=lambda fn: fn.__name__,
     )
-    def test_past_the_budget_raises_before_any_work(self, fn):
+    def test_past_the_budget_raises_before_any_work(self, fn, monkeypatch):
         style = make_distribution(0.2, 0.5, 0.3)
         for n in (10**9, analytic.DEFAULT_VALUE_HORIZON_BUDGET + 1):
             with pytest.raises(HorizonTooLarge):
                 fn(style, n)
+        # the budget is read at call time, so a lowered one holds at once
+        monkeypatch.setattr(analytic, "DEFAULT_VALUE_HORIZON_BUDGET", 7)
         with pytest.raises(HorizonTooLarge):
-            fn(style, 8, max_horizon=7)
-        with pytest.raises(InvalidHorizon):
-            fn(style, 8, max_horizon=0)
+            fn(style, 8)
 
     def test_a_raised_budget_reaches_the_inner_calls(self, monkeypatch):
         style = make_distribution(0.2, 0.5, 0.3)
         want = fixed_style_gain(style, 8)
-        # a default of 4 stages stands in for a budget a caller raises past
+        # a budget of 4 stages stands in for the default, 8 for a raised one
         monkeypatch.setattr(analytic, "DEFAULT_VALUE_HORIZON_BUDGET", 4)
         with pytest.raises(HorizonTooLarge):
             fixed_style_gain(style, 8)
-        assert fixed_style_gain(style, 8, max_horizon=8) == want
+        monkeypatch.setattr(analytic, "DEFAULT_VALUE_HORIZON_BUDGET", 8)
+        assert fixed_style_gain(style, 8) == want
 
 
 class TestSignExpectation:
@@ -265,6 +266,21 @@ class TestSignExpectation:
         ulp = np.spacing(1.0)
         assert sign_expectation(np.array([0.0, 0.0, 1.0 + ulp]), 1) == 1.0
         assert sign_expectation(np.array([0.5, 0.5 + ulp, 0.0, 0.0]), 2) == -1.0
+
+    def test_a_center_off_the_mass_is_refused(self):
+        mass = np.array([0.2, 0.3, 0.5])
+        for bad in (-1, 3, 7, 1.5, True, "1", None):
+            with pytest.raises(InvalidState, match=r"center must be an integer in \[0, 3\)"):
+                sign_expectation(mass, bad)
+
+    def test_every_center_on_the_mass_is_read(self):
+        mass = np.array([0.2, 0.3, 0.5])
+        # center 0: no score lies below zero
+        assert sign_expectation(mass, 0) == 0.3 + 0.5
+        # integral non-int centers take the general guard to the same value
+        for center in (1, np.int64(1), 1.0):
+            assert sign_expectation(mass, center) == 0.5 - 0.2
+        assert sign_expectation(mass, 2) == -(0.3 + 0.2)
 
 
 class TestHittingProbability:

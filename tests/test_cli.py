@@ -284,6 +284,25 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="internal fault"):
             main(["curve", *spec_flags(CHESS_PROBS), "--n-max", "4"])
 
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-dir", "a-dir"])
+    def test_out_not_a_file_in_an_existing_directory(self, capsys, tmp_path, out):
+        out = tmp_path / out
+        code, stdout, err = run(capsys, "classify", *spec_flags(CHESS_PROBS), "--out", str(out))
+        assert code == 2 and stdout == "" and "--out" in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_verify_out_into_a_missing_directory_runs_no_check(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import matchplay.verify
+
+        def never(*args, **kwargs):
+            raise AssertionError("the checklist ran before --out was rejected")
+
+        monkeypatch.setattr(matchplay.verify, "run_checks", never)
+        code, stdout, err = run(capsys, "verify", "--out", str(tmp_path / "missing" / "v.csv"))
+        assert code == 2 and stdout == "" and "--out" in err
+
 
 def test_cli_import_leaves_scipy_out():
     # a cold call pays for every module the cli imports; scipy is not one

@@ -8,6 +8,8 @@ forward evaluation of its own policy).
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -20,13 +22,24 @@ from matchplay import (
     InvalidState,
     MatchPlayError,
     brute_force_optimal,
+    cat_gain_curve,
+    cat_plus_gain_curve,
+    cat_plus_identity_check,
+    cat_policy,
     exact_policy_gain,
     find_optimal_horizon,
+    fixed_style_draw_prob,
+    fixed_style_gain,
+    fixed_style_gain_curve,
+    fixed_style_positive_prob,
     gain_curve,
+    lead_policy_curves,
+    propagate_policy,
+    score_distribution,
     solve,
     table_policy,
 )
-from matchplay import analytic, dp
+from matchplay import analytic, dp, policies
 from matchplay.dp import POLICY_LABELS, _bellman_sweep
 from matchplay.verify import SPEC_GRID
 
@@ -41,6 +54,36 @@ from conftest import (
 )
 
 EXACT_TOL = 1e-12
+
+# a sure-draw defense and a strictly losing offense, the regime that
+# cat_plus_identity_check needs
+SURE_DRAW_PROBS = (0.45, 0.0, 0.55, 0.0, 1.0, 0.0)
+
+_VALUE = (analytic, "DEFAULT_VALUE_HORIZON_BUDGET")
+_TABLE = (dp, "DEFAULT_TABLE_HORIZON_BUDGET")
+_PROPAGATE = (policies, "DEFAULT_PROPAGATE_HORIZON_BUDGET")
+
+# every public function with a horizon budget: the constant it reads, and a
+# call of it at horizon n
+_BUDGETED = {
+    "fixed_style_positive_prob": (
+        _VALUE,
+        lambda spec, n: fixed_style_positive_prob(spec.offense, n),
+    ),
+    "fixed_style_draw_prob": (_VALUE, lambda spec, n: fixed_style_draw_prob(spec.offense, n)),
+    "fixed_style_gain": (_VALUE, lambda spec, n: fixed_style_gain(spec.offense, n)),
+    "score_distribution": (_VALUE, lambda spec, n: score_distribution(spec.offense, n)),
+    "fixed_style_gain_curve": (_VALUE, lambda spec, n: fixed_style_gain_curve(spec.offense, n)),
+    "solve": (_TABLE, solve),
+    "gain_curve": (_VALUE, lambda spec, n: gain_curve(spec, n, POLICY_LABELS)),
+    "find_optimal_horizon": (_VALUE, find_optimal_horizon),
+    "exact_policy_gain": (_VALUE, lambda spec, n: exact_policy_gain(spec, cat_policy(), n)),
+    "propagate_policy": (_PROPAGATE, lambda spec, n: propagate_policy(spec, cat_policy(), n)),
+    "lead_policy_curves": (_VALUE, lead_policy_curves),
+    "cat_gain_curve": (_VALUE, cat_gain_curve),
+    "cat_plus_gain_curve": (_VALUE, cat_plus_gain_curve),
+    "cat_plus_identity_check": (_VALUE, cat_plus_identity_check),
+}
 
 
 def random_spec(rng):
@@ -499,23 +542,39 @@ class TestBudgetsAndValidation:
         with pytest.raises(HorizonTooLarge):
             gain_curve(chess, 100_001)
 
-    def test_budget_override(self, chess):
+    def test_budget_override(self, chess, monkeypatch):
+        want = solve(chess, 50).gain
+        # the table budget is read at call time: lowered it refuses, raised it admits
+        monkeypatch.setattr(dp, "DEFAULT_TABLE_HORIZON_BUDGET", 10)
         with pytest.raises(HorizonTooLarge):
-            solve(chess, 50, max_horizon=10)
-        assert solve(chess, 50, max_horizon=50).gain == solve(chess, 50).gain
+            solve(chess, 50)
+        monkeypatch.setattr(dp, "DEFAULT_TABLE_HORIZON_BUDGET", 50)
+        assert solve(chess, 50).gain == want
 
     def test_a_raised_budget_reaches_every_route(self, chess, monkeypatch):
         want = gain_curve(chess, 8, POLICY_LABELS).gains
-        # a default of 4 stages stands in for a budget a caller raises past;
+        # a budget of 4 stages stands in for the default, 8 for a raised one;
         # the one name in analytic is the budget of every value-only route
         monkeypatch.setattr(analytic, "DEFAULT_VALUE_HORIZON_BUDGET", 4)
         with pytest.raises(HorizonTooLarge):
             gain_curve(chess, 8, POLICY_LABELS)
         with pytest.raises(HorizonTooLarge):
             find_optimal_horizon(chess, 8)
-        got = gain_curve(chess, 8, POLICY_LABELS, max_horizon=8).gains
+        monkeypatch.setattr(analytic, "DEFAULT_VALUE_HORIZON_BUDGET", 8)
+        got = gain_curve(chess, 8, POLICY_LABELS).gains
         for label in POLICY_LABELS:
             assert got[label].tobytes() == want[label].tobytes()
+
+    @pytest.mark.parametrize("name", _BUDGETED)
+    def test_each_budgeted_function_reads_its_constant(self, name, monkeypatch):
+        (module, constant), call = _BUDGETED[name]
+        spec = make_spec(*SURE_DRAW_PROBS)
+        want = pickle.dumps(call(spec, 3))
+        monkeypatch.setattr(module, constant, 3)
+        with pytest.raises(HorizonTooLarge):
+            call(spec, 4)
+        # pickled, a result's floats and arrays compare bit for bit
+        assert pickle.dumps(call(spec, 3)) == want
 
     def test_bad_horizons_rejected(self, chess):
         for bad in (0, -3, 2.5, "six", None, True, np.True_, float("inf")):
@@ -523,9 +582,3 @@ class TestBudgetsAndValidation:
                 solve(chess, bad)
         with pytest.raises(InvalidHorizon):
             find_optimal_horizon(chess, 0)
-
-    def test_bad_budgets_rejected(self, chess):
-        for bad in ("abc", 2.7, 0, True):
-            with pytest.raises(InvalidHorizon):
-                solve(chess, 2, max_horizon=bad)
-        assert solve(chess, 2, max_horizon=2.0).gain == solve(chess, 2).gain
