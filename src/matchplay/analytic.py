@@ -51,10 +51,15 @@ def sign_expectation(mass: np.ndarray, center: int) -> float:
     The negative tail is summed in mirrored order (score -1, -2, ...) so that
     a bitwise symmetric distribution yields exactly 0.0. Rounding can carry a
     sure result an ulp past +-1, so the result is clamped to [-1, 1].
-    ``center`` must index ``mass``, or ``InvalidState`` is raised; a plain int
-    in range skips the general guard, as the curves call this once a stage.
+    ``mass`` must be one-dimensional and ``center`` must index it, or
+    ``InvalidState`` is raised; a 1-D array with a plain int center in range
+    skips the general guard, as the curves call this once a stage.
     """
-    if type(center) is not int or not 0 <= center < len(mass):
+    fast = type(mass) is np.ndarray and mass.ndim == 1 and type(center) is int
+    if not fast or not 0 <= center < len(mass):
+        mass = np.asarray(mass)
+        if mass.ndim != 1:
+            raise InvalidState(f"mass must be one-dimensional, got shape {mass.shape}")
         rule = f"center must be an integer in [0, {len(mass)})"
         center = require_integer(center, InvalidState, rule, 0, len(mass))
     # np.add.reduce is what ndarray.sum runs, without its Python wrapper;

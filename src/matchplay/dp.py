@@ -276,7 +276,13 @@ class PolicyTable:
         return Action.OFF if bit else Action.DEF
 
     def offense_mask(self, games_remaining: int, scores: np.ndarray) -> np.ndarray:
-        """Vectorised ``action(...) is Action.OFF`` over an array of scores."""
+        """Vectorised ``action(...) is Action.OFF`` over an array of scores.
+
+        One lookup row covers the scores present, [-largest, largest] for the
+        largest |score|, and one ``take`` reads it: four passes over the
+        scores (their max, min, offset and lookup) plus O(largest) work on
+        the row, whatever the width of the band.
+        """
         k, _ = _lattice_point(games_remaining, 0)
         scores = np.asarray(scores)
         if scores.dtype.kind not in "iu":
@@ -284,13 +290,14 @@ class PolicyTable:
         # the extremes as Python ints: np.abs and + wrap at a narrow dtype's edge
         largest = max(int(scores.max(initial=0)), -int(scores.min(initial=0)))
         band = _band(self.horizon, k, largest, 1)
-        scores = scores.astype(np.int64, copy=False)  # exact: |scores| <= horizon
         row, start = self.rows[k - 1], self.starts[k]
         if len(row) <= 2 * band:
             # a window narrower than the band: the frozen sides' bits on its
             # ends, where ``take`` clips every index beyond them
             row, start = np.concatenate(([self.low_bit], row, [self.high_bit])), start - 1
-        return (np.abs(scores) <= band) & (row.take(scores + (band - start), mode="clip") != 0)
+        present = np.arange(-largest, largest + 1)
+        lookup = (np.abs(present) <= band) & (row.take(present + (band - start), mode="clip") != 0)
+        return lookup.take(np.add(scores, largest, dtype=np.intp))
 
     def _expanded_row(self, k: int) -> np.ndarray:
         """The offense bits of the whole band at stage k."""

@@ -55,6 +55,8 @@ _ORACLE_SCALE = 10**6
 
 DEFAULT_PROPAGATE_HORIZON_BUDGET = 2_000
 
+_BOOL = np.dtype(bool)
+
 
 class Policy:
     """Deterministic decision rule on (games remaining, score, led yet).
@@ -67,7 +69,7 @@ class Policy:
     uses_lead_flag: bool = True
 
     def decide_row(self, games_remaining: int, scores: np.ndarray, has_led: bool) -> np.ndarray:
-        """Offense mask over a whole row of scores."""
+        """Offense mask over a whole row of scores, bool or integer, of their shape."""
         raise NotImplementedError
 
     def decide(self, games_remaining: int, score: int, has_led: bool) -> Action:
@@ -207,6 +209,29 @@ def as_policy(policy) -> Policy:
     raise InvalidPolicy(f"cannot interpret {policy!r} as a policy")
 
 
+def offense_row(
+    policy: Policy, games_remaining: int, scores: np.ndarray, has_led: bool
+) -> np.ndarray:
+    """``policy.decide_row`` as a bool mask, checked where the library reads it.
+
+    A custom policy's mask must have the scores' shape and a bool or integer
+    dtype (nonzero is offense); anything else raises ``InvalidPolicy``. Only
+    the shape and dtype are read, so a bool mask costs no pass over it.
+    """
+    mask = policy.decide_row(games_remaining, scores, has_led)
+    # every built-in policy returns a bool array of the scores' shape, which
+    # these tests accept without the np.asarray and dtype.kind calls below
+    if type(mask) is np.ndarray and mask.dtype is _BOOL and mask.shape == scores.shape:
+        return mask
+    mask = np.asarray(mask)
+    if mask.shape != scores.shape or mask.dtype.kind not in "biu":
+        raise InvalidPolicy(
+            f"{policy!r} returned an offense mask of shape {mask.shape} and dtype {mask.dtype} "
+            f"for scores of shape {scores.shape}; expected that shape and a bool or integer dtype"
+        )
+    return mask != 0
+
+
 def _coefficients(spec: MatchSpec, policy: Policy):
     """The coefficients callback of ``analytic.walk`` under ``policy``.
 
@@ -214,10 +239,9 @@ def _coefficients(spec: MatchSpec, policy: Policy):
     """
     off, dfn = map(analytic.style_coefficients, (spec.offense, spec.defense))
     (ow, od, ol), (dw, dd, dl) = off, dfn
-    decide = policy.decide_row
 
     def coefficients(games_remaining: int, band: np.ndarray, has_led: bool) -> tuple:
-        offense = decide(games_remaining, band, has_led)
+        offense = offense_row(policy, games_remaining, band, has_led)
         count = np.count_nonzero(offense)
         if count == len(offense):
             return off

@@ -3,25 +3,34 @@
 Randomness comes from the counter-based Philox generator: round r of every
 match draws from the substream ``Philox(key=seed).jumped(r)``, and sample i
 consumes the i-th value of that substream. A run keeps one keyed generator
-and reaches round r's substream by setting its state to the one ``jumped(r)``
-returns (counter ``[0, 0, r mod 2**64, r >> 64]``, output buffer empty),
-without building a new generator each round. Each counter step yields four
-values, so a slice starting at sample ``offset`` sets counter word 0 to
-``offset // 4`` and drops only the first ``offset % 4`` values it draws,
-whatever the offset. A sample's outcome therefore
-depends only on (seed, sample index, round index), so estimates are
-reproducible bit-for-bit regardless of how samples are batched or
-partitioned across workers.
+and one copy of its state dict, and reaches round r's substream by setting
+the dict's counter to the one ``jumped(r)`` returns (``[0, 0, r mod 2**64,
+r >> 64]``, output buffer empty), without building a new generator or state
+dict each round. Each counter step yields four values, so a slice starting
+at sample ``offset`` sets counter word 0 to ``offset // 4`` and drops only
+the first ``offset % 4`` values it draws, whatever the offset. A sample's
+outcome therefore depends only on (seed, sample index, round index), so
+estimates are reproducible bit-for-bit regardless of how samples are
+batched or partitioned across workers.
 
-Each round of the batched evaluator is branch-free. The policy's offense
-mask selects between the two styles' outcomes with boolean algebra,
-``(mask & off) | (def & ~mask)``, over comparisons of the uniforms with each
-style's thresholds: a comparison or a boolean ``&`` costs a few microseconds
-on a 20,000-sample row, where a ``np.where`` on a random mask costs over
-a hundred. A sample wins when u < win and loses when u >= win + draw, the
-sum formed in Python floats as the one-match rule forms it; since
-u < win implies u < win + draw, no sample does both, and the signs equal
-those of one match replayed at a time (the tests pin this byte for byte).
+Each round works on the raw Philox words. ``Generator.random`` returns
+``(word >> 11) * 2**-53``, so with m = word >> 11, an integer below 2**53,
+``u < p`` holds exactly when m < p * 2**53, that is when m < T for the
+integer threshold T = ceil(p * 2**53): scaling by a power of two is exact in
+floats, and m is an integer. This holds for every p, so p = 0 (T = 0, never
+below) and p >= 1 (T >= 2**53, always below) need no special case. A sample
+wins when its word is below the style's win threshold and loses when it is
+not below the stay threshold, that of the sum win + draw formed in Python
+floats as the one-match rule forms it; since the win threshold is at most
+the stay threshold no sample does both, and the signs equal those of one
+match replayed at a time on the uniforms (the tests pin this byte for
+byte). Scores move by one int8 delta, win minus loss, per round.
+
+Each round is branch-free. The policy's offense mask selects between the
+two styles' outcomes with boolean algebra, ``(mask & off) | (def & ~mask)``:
+a comparison or a boolean ``&`` costs a few microseconds on a
+20,000-sample row, where a ``np.where`` on a random mask costs over a
+hundred.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import numpy as np
 
 from .core import Action, MatchSpec, require_instance
 from .errors import InvalidSampleCount, InvalidSeed, require_horizon, require_integer, require_seed
-from .policies import as_policy
+from .policies import as_policy, offense_row
 
 
 class SimEstimate(NamedTuple):
@@ -75,17 +84,30 @@ def simulate_match(spec: MatchSpec, policy, n_games: int, stream=None) -> int:
     return (score > 0) - (score < 0)
 
 
-def _round_uniforms(bitgen: np.random.Philox, round_index: int, count: int, offset: int = 0):
+def _round_words(
+    bitgen: np.random.Philox, state: dict, round_index: int, count: int, offset: int = 0
+) -> np.ndarray:
+    """Round ``round_index``'s words for samples [offset, offset + count), shifted to 53 bits.
+
+    ``state`` is ``bitgen``'s state dict taken while its output buffer was
+    empty, as a fresh generator's is; only its counter is rewritten. The
+    words are the integers that ``Generator.random`` scales by 2**-53.
+    """
     # the state Philox(key).jumped(round_index) reaches after the offset's
     # whole 4-value blocks: the round in counter words 2-3, the blocks in
     # word 0, and an empty output buffer, so no value left over from the
     # previous round is drawn
-    state = bitgen.state
     state["state"]["counter"][:] = (offset // 4, 0, round_index % 2**64, round_index >> 64)
-    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
     bitgen.state = state
     skip = offset % 4
-    return np.random.Generator(bitgen).random(skip + count)[skip:]
+    words = bitgen.random_raw(skip + count)[skip:]
+    words >>= np.uint64(11)
+    return words
+
+
+def _threshold(p: float) -> np.uint64:
+    """The integer T with ``word < T`` exactly when ``word * 2**-53 < p``."""
+    return np.uint64(math.ceil(p * 2**53))
 
 
 def _pick(mask: np.ndarray, if_true: np.ndarray, if_false: np.ndarray) -> np.ndarray:
@@ -102,9 +124,12 @@ def _final_signs(
 ) -> np.ndarray:
     """Final score signs of samples [offset, offset + samples) for this seed."""
     policy = as_policy(policy)
-    off_w, def_w = spec.offense.win, spec.defense.win
-    # the same IEEE sums the scalar rule "draw if u < win + draw" forms
-    off_wd, def_wd = off_w + spec.offense.draw, def_w + spec.defense.draw
+    off, dfn = spec.offense, spec.defense
+    # a sample wins below the win threshold and stays (wins or draws) below
+    # the stay threshold, built from the same IEEE sum win + draw that the
+    # scalar rule "draw if u < win + draw" forms
+    off_win, def_win = _threshold(off.win), _threshold(dfn.win)
+    off_stay, def_stay = _threshold(off.win + off.draw), _threshold(dfn.win + dfn.draw)
     try:
         scores = np.zeros(samples, dtype=np.int64)
     except (MemoryError, ValueError):
@@ -115,16 +140,18 @@ def _final_signs(
     flagged = policy.uses_lead_flag
     has_led = np.zeros(samples, dtype=bool) if flagged else None
     bitgen = np.random.Philox(key=seed)
+    state = bitgen.state
     for played in range(n_games):
         remaining = n_games - played
-        offense = np.asarray(policy.decide_row(remaining, scores, False), dtype=bool)
+        offense = offense_row(policy, remaining, scores, False)
         if flagged:
-            led = np.asarray(policy.decide_row(remaining, scores, True), dtype=bool)
+            led = offense_row(policy, remaining, scores, True)
             offense = _pick(has_led, led, offense)
-        u = _round_uniforms(bitgen, played, samples, offset)
-        # u < win implies u < win + draw, so a round never both wins and loses
-        scores += _pick(offense, u < off_w, u < def_w)
-        scores -= _pick(offense, u >= off_wd, u >= def_wd)
+        words = _round_words(bitgen, state, played, samples, offset)
+        # word < win implies word < stay, so a round never both wins and loses
+        won = _pick(offense, words < off_win, words < def_win)
+        lost = _pick(offense, words >= off_stay, words >= def_stay)
+        scores += won.view(np.int8) - lost.view(np.int8)
         if flagged:
             has_led |= scores >= 1
     return np.sign(scores)

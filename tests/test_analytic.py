@@ -282,6 +282,14 @@ class TestSignExpectation:
             assert sign_expectation(mass, center) == 0.5 - 0.2
         assert sign_expectation(mass, 2) == -(0.3 + 0.2)
 
+    def test_a_mass_that_is_not_one_dimensional_is_refused(self):
+        for bad in (np.array([[0.2, 0.3], [0.4, 0.1]]), np.zeros((3, 1)), np.array(1.0)):
+            with pytest.raises(InvalidState, match="one-dimensional"):
+                sign_expectation(bad, 1)
+        # a list takes the general guard to the array's value
+        mass = [0.2, 0.3, 0.5]
+        assert sign_expectation(mass, 1) == sign_expectation(np.array(mass), 1)
+
 
 class TestHittingProbability:
     def test_never_wins(self):

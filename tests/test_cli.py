@@ -44,6 +44,10 @@ _GOLDEN_COMMANDS = {
         "simulate", *spec_flags(CHESS_PROBS),
         "--policy", "cat", "--horizon", "6", "--samples", "5000", "--seed", "7",
     ],
+    "simulate_chess_optimal.csv": [
+        "simulate", *spec_flags(CHESS_PROBS),
+        "--policy", "optimal", "--horizon", "16", "--samples", "20000", "--seed", "11",
+    ],
     "simulate_one_sample.json": [
         "simulate", *spec_flags(CHESS_PROBS),
         "--horizon", "2", "--samples", "1", "--format", "json",

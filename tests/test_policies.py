@@ -21,6 +21,7 @@ from matchplay import (
     InvalidState,
     MatchPlayError,
     OracleHorizonTooLarge,
+    Policy,
     RegimeNotCovered,
     TablePolicy,
     as_policy,
@@ -162,6 +163,48 @@ class TestAsPolicy:
             with pytest.raises(InvalidPolicy) as info:
                 bad()
             assert isinstance(info.value, MatchPlayError)
+
+
+class _MaskPolicy(Policy):
+    """A custom policy whose offense mask is ``make(scores)``."""
+
+    def __init__(self, make, uses_lead_flag):
+        self.make, self.uses_lead_flag = make, uses_lead_flag
+
+    def decide_row(self, games_remaining, scores, has_led):
+        return self.make(np.asarray(scores))
+
+    def __repr__(self):
+        return "_MaskPolicy()"
+
+
+class TestCustomMasks:
+    BAD_MASKS = {
+        "two_cells_too_long": lambda scores: np.ones(len(scores) + 2, dtype=bool),
+        "one_cell_short": lambda scores: np.ones(len(scores) - 1, dtype=bool),
+        "two_dimensional": lambda scores: np.ones((1, len(scores)), dtype=bool),
+        "float": lambda scores: np.full(scores.shape, 0.4),
+        "object": lambda scores: np.full(scores.shape, Action.OFF, dtype=object),
+    }
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["flag_blind", "flagged"])
+    @pytest.mark.parametrize("mask", sorted(BAD_MASKS))
+    def test_a_bad_mask_is_refused_where_it_is_read(self, chess, mask, flag):
+        policy = _MaskPolicy(self.BAD_MASKS[mask], flag)
+        for call in (
+            lambda: exact_policy_gain(chess, policy, 4),
+            lambda: propagate_policy(chess, policy, 4),
+            lambda: estimate_gain(chess, policy, 4, 50),
+        ):
+            with pytest.raises(InvalidPolicy, match="offense mask of shape"):
+                call()
+
+    def test_integer_masks_read_nonzero_as_offense(self, chess):
+        # the Monte Carlo side is pinned by the scalar replay of an int8 mask
+        as_bool = _MaskPolicy(lambda scores: scores <= 0, False)
+        for dtype in (np.int8, np.uint8, np.int64):
+            as_int = _MaskPolicy(lambda scores: (scores <= 0).astype(dtype) * 3, False)
+            assert exact_policy_gain(chess, as_int, 6) == exact_policy_gain(chess, as_bool, 6)
 
 
 class TestExactEvaluation:

@@ -20,9 +20,20 @@ from matchplay import (
     solve,
     table_policy,
 )
-from matchplay.sim import _final_signs, _round_uniforms
+from matchplay.sim import _final_signs, _round_words, _threshold
 
 from conftest import make_spec, reference_final_signs
+
+
+# specs whose thresholds sit at the ends of the word range: a sure-win
+# offense, a defense that never wins, a sure-draw defense, and a defense
+# whose win + draw rounds to 1 + 2**-52 in floats
+EDGE_PROBS = (
+    (1.0, 0.0, 0.0, 0.10, 0.75, 0.15),
+    (0.45, 0.0, 0.55, 0.0, 0.75, 0.25),
+    (0.45, 0.0, 0.55, 0.0, 1.0, 0.0),
+    (0.45, 0.0, 0.55, 0.1, 0.9000000000000001, 0.0),
+)
 
 
 class Int8Mask(Policy):
@@ -62,17 +73,37 @@ class TestSimulateMatch:
 class TestRoundStreams:
     def test_round_uniforms_equal_the_jumped_substreams(self):
         # rounds 2**64 - 1 and 2**64 cross the carry between counter words 2
-        # and 3; they run out of order on one generator, and 13 draws leave
-        # its output buffer part used, so a stale buffer would show; offsets
-        # 4 and 200_001 start a whole block and one value into a far block
+        # and 3; they run out of order on one generator and one state dict,
+        # and 13 draws leave its output buffer part used, so a stale buffer
+        # would show; offsets 4 and 200_001 start a whole block and one value
+        # into a far block; the words scaled by 2**-53 are the uniforms
         for key in (0, 2**64, 2**128 - 1):
             bitgen = np.random.Philox(key=key)
+            state = bitgen.state
             for round_index in (2**64, 1, 2**64 - 1, 0, 2**64, 0, 1):
                 for offset in (0, 7, 4, 200_001):
-                    got = _round_uniforms(bitgen, round_index, 13, offset)
+                    got = _round_words(bitgen, state, round_index, 13, offset) * 2.0**-53
                     jumped = np.random.Philox(key=key).jumped(round_index)
                     want = np.random.Generator(jumped).random(offset + 13)[offset:]
                     assert got.tobytes() == want.tobytes(), (key, round_index, offset)
+
+
+class TestThresholds:
+    @pytest.mark.parametrize(
+        "p", [0.0, 2.0**-53, 0.1, 0.45, 0.5, 1 - 2.0**-53, 1.0, 1 + 2.0**-52]
+    )
+    def test_words_around_the_threshold_classify_as_the_float_rule(self, p):
+        # a word's uniform is (word >> 11) * 2**-53, exact in a double; words
+        # that shift to T - 1, T and T + 1 and to both ends of the range, each
+        # with its low 11 bits, which the shift drops, clear and set
+        t = int(_threshold(p))
+        shifted = [m for m in (0, t - 1, t, t + 1, 2**53 - 1) if 0 <= m < 2**53]
+        raw = [m << 11 | low for m in shifted for low in (0, 2**11 - 1)]
+        words = np.array(raw, dtype=np.uint64)
+        words >>= np.uint64(11)
+        uniforms = [m * 2.0**-53 for m in words.tolist()]
+        assert (words < _threshold(p)).tolist() == [u < p for u in uniforms]
+        assert (words >= _threshold(p)).tolist() == [not u < p for u in uniforms]
 
 
 class TestEstimateGain:
@@ -150,7 +181,7 @@ class TestEstimateGain:
             return "off" if score < 0 or (score == 0 and games_remaining > 2) else "def"
 
         n, count = 9, 300
-        for spec in (chess, grind):
+        for spec in (chess, grind, *(make_spec(*probs) for probs in EDGE_PROBS)):
             table = table_policy(solve(spec, n).policy)
             catplus = cat_plus_policy(spec)
             for policy in ("off", "Def", cat_policy(), catplus, table, chase, Int8Mask()):
