@@ -10,6 +10,14 @@ caller of the stencil ``step``. Its caller chooses each stage's coefficients:
 the fixed styles here pass constants, and every policy evaluation in
 ``policies`` runs through the same walk.
 
+``fixed_style_gain_curve`` reads each stage's gain as ``sign_expectation``
+does, with the same bits, but sums the stages in blocks of rows, a few numpy
+calls per block rather than two per stage. The protect-the-lead curves in
+``policies`` cannot: their band grows by a cell on each side every stage,
+and neither a segmented ``np.add.reduceat`` nor a tail sum shared by the two
+rules keeps the pairwise summation order, and so the bits, of a per-stage
+sum.
+
 The long-match limits (``hitting_probability``, ``cat_limit``,
 ``optimal_limit`` and their ``Regime`` and ``AsymptoticVerdict`` types) are
 plain float arithmetic and live in ``core``, which needs no numpy; this module
@@ -44,6 +52,10 @@ DEFAULT_VALUE_HORIZON_BUDGET = 100_000
 # calls at a few hundred games, while the scratch block stays at 64 KB
 _BLOCK_TERMS = 8192
 
+# bytes of the scratch block of stage rows that fixed_style_gain_curve sums
+# at once: 16 rows at 1000 games, at least one row however long the match
+_SIGN_BLOCK_BYTES = 256 * 1024
+
 
 def sign_expectation(mass: np.ndarray, center: int) -> float:
     """Expected sign of the score for a mass vector centered at score 0.
@@ -52,14 +64,18 @@ def sign_expectation(mass: np.ndarray, center: int) -> float:
     a bitwise symmetric distribution yields exactly 0.0. Rounding can carry a
     sure result an ulp past +-1, so the result is clamped to [-1, 1].
     ``mass`` must be one-dimensional and ``center`` must index it, or
-    ``InvalidState`` is raised; a 1-D array with a plain int center in range
-    skips the general guard, as the curves call this once a stage.
+    ``InvalidState`` is raised, as it is for a mass that is not real numbers;
+    a 1-D float array with a plain int center in range skips the general
+    guard, as the curves call this once a stage.
     """
-    fast = type(mass) is np.ndarray and mass.ndim == 1 and type(center) is int
-    if not fast or not 0 <= center < len(mass):
+    fast = type(mass) is np.ndarray and mass.ndim == 1 and mass.dtype.kind == "f"
+    if not (fast and type(center) is int and 0 <= center < len(mass)):
         mass = np.asarray(mass)
-        if mass.ndim != 1:
-            raise InvalidState(f"mass must be one-dimensional, got shape {mass.shape}")
+        if mass.ndim != 1 or mass.dtype.kind not in "biuf":
+            raise InvalidState(
+                f"mass must be one-dimensional real numbers, got shape {mass.shape} "
+                f"and dtype {mass.dtype}"
+            )
         rule = f"center must be an integer in [0, {len(mass)})"
         center = require_integer(center, InvalidState, rule, 0, len(mass))
     # np.add.reduce is what ndarray.sum runs, without its Python wrapper;
@@ -255,12 +271,37 @@ def score_distribution(style: StyleDistribution, n_games: int) -> np.ndarray:
 
 
 def fixed_style_gain_curve(style: StyleDistribution, n_max: int) -> np.ndarray:
-    """Expected final-score sign for every match length 1..n_max, in one pass."""
+    """Expected final-score sign for every match length 1..n_max, in one pass.
+
+    Each stage's gain is ``sign_expectation`` of its mass, with the same
+    bits, but the stages are summed in blocks: every stage's row is copied
+    into a scratch block of ``_SIGN_BLOCK_BYTES``, and one reduce along the
+    rows sums a whole block's positive scores, another its mirrored negative
+    ones. Reducing a C-contiguous block along its last axis runs numpy's
+    pairwise summation on each row exactly as the reduce of that row alone
+    does, so a block costs a few numpy calls however many stages it holds.
+    """
     require_instance(style, StyleDistribution)
     n = require_horizon(n_max, DEFAULT_VALUE_HORIZON_BUDGET)
     coefficients = style_coefficients(style)
     stages = walk(n, lambda *_: coefficients)
     next(stages)  # the start, before any game
-    # the full width is summed on purpose: a band-only sum changes the
-    # pairwise summation order and with it the last bits
-    return np.fromiter((sign_expectation(mass, n) for (mass,) in stages), float, n)
+    gains = np.empty(n)
+    rows = min(n, max(1, _SIGN_BLOCK_BYTES // (8 * (2 * n + 1))))
+    block, below = np.zeros((rows, 2 * n + 1)), np.empty(rows)
+    for first in range(0, n, rows):
+        count = min(rows, n - first)
+        # the walk reuses its rows, so each stage is copied as it passes:
+        # only its band [-played, played], as every cell past it holds a zero
+        # from the start or from an earlier, narrower band; the full width is
+        # summed on purpose, as a band-only sum changes the pairwise
+        # summation order and with it the last bits
+        for played, row in enumerate(block[:count], first + 1):
+            (mass,) = next(stages)
+            row[n - played : n + played + 1] = mass[n - played : n + played + 1]
+        gain = gains[first : first + count]
+        np.add.reduce(block[:count, n + 1 :], axis=1, out=gain)
+        np.add.reduce(block[:count, n - 1 :: -1], axis=1, out=below[:count])
+        np.subtract(gain, below[:count], out=gain)
+    # rounding can carry a sure result an ulp past +-1
+    return np.clip(gains, -1.0, 1.0, out=gains)

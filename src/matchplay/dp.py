@@ -276,7 +276,7 @@ class PolicyTable:
         return Action.OFF if bit else Action.DEF
 
     def offense_mask(self, games_remaining: int, scores: np.ndarray) -> np.ndarray:
-        """Vectorised ``action(...) is Action.OFF`` over an array of scores.
+        """Vectorised ``action(...) is Action.OFF`` over a 1-D array of integer scores.
 
         One lookup row covers the scores present, [-largest, largest] for the
         largest |score|, and one ``take`` reads it: four passes over the
@@ -285,8 +285,11 @@ class PolicyTable:
         """
         k, _ = _lattice_point(games_remaining, 0)
         scores = np.asarray(scores)
-        if scores.dtype.kind not in "iu":
-            raise InvalidState(f"scores must be integers, got dtype {scores.dtype}")
+        if scores.ndim != 1 or scores.dtype.kind not in "iu":
+            raise InvalidState(
+                f"scores must be a 1-D integer array, got shape {scores.shape} "
+                f"and dtype {scores.dtype}"
+            )
         # the extremes as Python ints: np.abs and + wrap at a narrow dtype's edge
         largest = max(int(scores.max(initial=0)), -int(scores.min(initial=0)))
         band = _band(self.horizon, k, largest, 1)
@@ -324,7 +327,10 @@ class GainCurve:
     gains: dict
 
     def entries(self, label: str) -> list[tuple[int, float]]:
-        return list(zip(self.horizons.tolist(), (float(g) for g in self.gains[label])))
+        """(horizon, gain) pairs of one label; a label not in the curve raises ``InvalidPolicy``."""
+        if not (isinstance(label, str) and label in self.gains):
+            raise InvalidPolicy(f"no curve labelled {label!r}; have {list(self.gains)}")
+        return list(zip(self.horizons.tolist(), map(float, self.gains[label])))
 
 
 def solve(spec: MatchSpec, n_games: int) -> SolveResult:

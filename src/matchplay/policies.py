@@ -6,7 +6,11 @@ protect-the-lead rule attacks until it first leads and then sits on the lead,
 so its state is exactly "have I led yet".
 
 A policy's single primitive is ``decide_row``, the offense mask over a row
-of scores; the scalar ``decide`` is derived from it.
+of scores; the scalar ``decide`` is derived from it. A row that plays one
+style throughout may be returned as one plain ``bool`` instead of a mask:
+the fixed styles and the plain protect-the-lead rule do so at every stage,
+and the refined rule at every stage but the last. The evaluators then pick
+that style's coefficients or thresholds once for the whole row.
 
 Evaluation is exact: the joint distribution of (score, led yet) is propagated
 forward one game at a time, which costs O(N^2) and no sampling error. Every
@@ -31,6 +35,7 @@ the solver tests.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,12 +73,22 @@ class Policy:
 
     uses_lead_flag: bool = True
 
-    def decide_row(self, games_remaining: int, scores: np.ndarray, has_led: bool) -> np.ndarray:
-        """Offense mask over a whole row of scores, bool or integer, of their shape."""
-        raise NotImplementedError
+    def decide_row(
+        self, games_remaining: int, scores: np.ndarray, has_led: bool
+    ) -> np.ndarray | bool:
+        """Offense mask over a 1-D row of integer scores.
+
+        Either an array of the scores' shape, bool or integer (nonzero is
+        offense), or one plain ``bool`` when the whole row plays one style.
+        A subclass must override this; the base class raises
+        ``InvalidPolicy``.
+        """
+        raise InvalidPolicy(f"{type(self).__name__} does not override decide_row")
 
     def decide(self, games_remaining: int, score: int, has_led: bool) -> Action:
-        offense = self.decide_row(games_remaining, np.array([score]), has_led)[0]
+        offense = offense_row(self, games_remaining, np.array([score]), has_led)
+        if type(offense) is not bool:
+            offense = offense[0]
         return Action.OFF if offense else Action.DEF
 
     def __call__(self, games_remaining: int, score: int, has_led: bool = False) -> Action:
@@ -97,7 +112,7 @@ class FixedPolicy(Policy):
         self.action = _coerce_action(action)
 
     def decide_row(self, games_remaining, scores, has_led):
-        return np.full(np.shape(scores), self.action is Action.OFF)
+        return self.action is Action.OFF
 
     def __repr__(self):
         return f"FixedPolicy({self.action.value})"
@@ -107,7 +122,7 @@ class CatPolicy(Policy):
     """Attack until the score first becomes positive, then defend forever."""
 
     def decide_row(self, games_remaining, scores, has_led):
-        return np.full(np.shape(scores), not has_led)
+        return not has_led
 
     def __repr__(self):
         return "CatPolicy()"
@@ -128,10 +143,12 @@ class CatPlusPolicy(Policy):
         self.final_offense = bool(final_offense)
 
     def decide_row(self, games_remaining, scores, has_led):
-        mask = np.full(np.shape(scores), not has_led)
-        if games_remaining == 1:
-            mask = np.where(np.asarray(scores) == 0, self.final_offense, mask)
-        return mask
+        if games_remaining != 1 or self.final_offense != has_led:
+            return not has_led
+        # the last game, where a level score plays final_offense and every
+        # other score its opposite, not has_led
+        scores = np.asarray(scores)
+        return scores == 0 if self.final_offense else scores != 0
 
     def __repr__(self):
         return f"CatPlusPolicy(final_offense={self.final_offense})"
@@ -205,20 +222,31 @@ def as_policy(policy) -> Policy:
     if isinstance(policy, (Action, str)):
         return FixedPolicy(policy)
     if callable(policy):
+        try:
+            inspect.signature(policy).bind(1, 0, False)
+        except TypeError:
+            raise InvalidPolicy(
+                f"{policy!r} cannot be called as (games_remaining, score, has_led)"
+            ) from None
+        except ValueError:
+            pass  # no signature to read, as for some builtins: called as given
         return _FunctionPolicy(policy)
     raise InvalidPolicy(f"cannot interpret {policy!r} as a policy")
 
 
 def offense_row(
     policy: Policy, games_remaining: int, scores: np.ndarray, has_led: bool
-) -> np.ndarray:
-    """``policy.decide_row`` as a bool mask, checked where the library reads it.
+) -> np.ndarray | bool:
+    """``policy.decide_row`` as a bool mask or one bool, checked where the library reads it.
 
-    A custom policy's mask must have the scores' shape and a bool or integer
+    A plain ``bool`` passes unchecked: the whole row plays that style. A
+    custom policy's mask must have the scores' shape and a bool or integer
     dtype (nonzero is offense); anything else raises ``InvalidPolicy``. Only
     the shape and dtype are read, so a bool mask costs no pass over it.
     """
     mask = policy.decide_row(games_remaining, scores, has_led)
+    if type(mask) is bool:
+        return mask
     # every built-in policy returns a bool array of the scores' shape, which
     # these tests accept without the np.asarray and dtype.kind calls below
     if type(mask) is np.ndarray and mask.dtype is _BOOL and mask.shape == scores.shape:
@@ -242,6 +270,8 @@ def _coefficients(spec: MatchSpec, policy: Policy):
 
     def coefficients(games_remaining: int, band: np.ndarray, has_led: bool) -> tuple:
         offense = offense_row(policy, games_remaining, band, has_led)
+        if type(offense) is bool:
+            return off if offense else dfn
         count = np.count_nonzero(offense)
         if count == len(offense):
             return off
@@ -336,9 +366,7 @@ def lead_policy_curves(spec: MatchSpec, n_max: int) -> tuple[np.ndarray, np.ndar
     cat_gains = np.zeros(n)
     catplus_gains = np.zeros(n)
     level_finish = None
-    # the plain rule: offense until the first lead, defense after
-    off, dfn = map(analytic.style_coefficients, (spec.offense, spec.defense))
-    walk = analytic.walk(n, lambda remaining, band, has_led: dfn if has_led else off, True)
+    walk = analytic.walk(n, _coefficients(spec, cat_policy()), True)
     for played, (not_led, led) in enumerate(walk):
         if played:
             mass = not_led[n - played : n + played + 1] + led[n - played : n + played + 1]
@@ -358,7 +386,8 @@ def _near_zero_after_last_game(layer: np.ndarray, center: int, style, final) -> 
     Every other score plays ``style``. This is ``analytic.step``'s stencil,
     with its association, on the five cells at scores -2..2 in Python floats.
     """
-    src = [float(layer[center + x]) if abs(x) <= center else 0.0 for x in range(-2, 3)]
+    pad = max(0, 2 - center)  # cells past the layer's ends hold no mass
+    src = [0.0] * pad + layer[center - 2 + pad : center + 3 - pad].tolist() + [0.0] * pad
     coef = (style, style, final, style, style)
     return [
         (coef[i - 1].win * src[i - 1] + coef[i + 1].loss * src[i + 1]) + coef[i].draw * src[i]

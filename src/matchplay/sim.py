@@ -24,13 +24,16 @@ not below the stay threshold, that of the sum win + draw formed in Python
 floats as the one-match rule forms it; since the win threshold is at most
 the stay threshold no sample does both, and the signs equal those of one
 match replayed at a time on the uniforms (the tests pin this byte for
-byte). Scores move by one int8 delta, win minus loss, per round.
+byte). Scores are held in the narrowest signed integer dtype that holds
++-N, int8 up to 127 games, and move by one int8 delta, win minus loss, per
+round; the signs are returned as int64.
 
 Each round is branch-free. The policy's offense mask selects between the
 two styles' outcomes with boolean algebra, ``(mask & off) | (def & ~mask)``:
 a comparison or a boolean ``&`` costs a few microseconds on a
 20,000-sample row, where a ``np.where`` on a random mask costs over a
-hundred.
+hundred. A row the policy plays in one style, returned as a plain bool,
+compares the words against that style's two thresholds alone.
 """
 
 from __future__ import annotations
@@ -130,12 +133,14 @@ def _final_signs(
     # scalar rule "draw if u < win + draw" forms
     off_win, def_win = _threshold(off.win), _threshold(dfn.win)
     off_stay, def_stay = _threshold(off.win + off.draw), _threshold(dfn.win + dfn.draw)
+    # the narrowest signed dtype that holds every score in [-N, N]
+    dtype = np.min_scalar_type(-n_games - 1)
     try:
-        scores = np.zeros(samples, dtype=np.int64)
+        scores = np.zeros(samples, dtype=dtype)
     except (MemoryError, ValueError):
         raise InvalidSampleCount(
-            f"{samples} samples need {8 * samples} bytes for one score array, "
-            "more than can be allocated"
+            f"{samples} samples need {dtype.itemsize * samples} bytes for one {dtype} "
+            "score array, more than can be allocated"
         ) from None
     flagged = policy.uses_lead_flag
     has_led = np.zeros(samples, dtype=bool) if flagged else None
@@ -146,15 +151,22 @@ def _final_signs(
         offense = offense_row(policy, remaining, scores, False)
         if flagged:
             led = offense_row(policy, remaining, scores, True)
-            offense = _pick(has_led, led, offense)
+            if offense is True and led is False:
+                offense = ~has_led  # the protect-the-lead rule's row
+            elif offense is not led:
+                offense = _pick(has_led, led, offense)
         words = _round_words(bitgen, state, played, samples, offset)
         # word < win implies word < stay, so a round never both wins and loses
-        won = _pick(offense, words < off_win, words < def_win)
-        lost = _pick(offense, words >= off_stay, words >= def_stay)
+        if type(offense) is bool:
+            win, stay = (off_win, off_stay) if offense else (def_win, def_stay)
+            won, lost = words < win, words >= stay
+        else:
+            won = _pick(offense, words < off_win, words < def_win)
+            lost = _pick(offense, words >= off_stay, words >= def_stay)
         scores += won.view(np.int8) - lost.view(np.int8)
         if flagged:
             has_led |= scores >= 1
-    return np.sign(scores)
+    return np.sign(scores, dtype=np.int64)
 
 
 def estimate_gain(

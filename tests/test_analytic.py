@@ -59,6 +59,17 @@ def enumerate_gain(style, n):
     return pos, draw
 
 
+def per_stage_gains(style, n: int) -> np.ndarray:
+    """The fixed-style curve one stage at a time: ``sign_expectation`` of each reference step."""
+    mass = np.zeros(2 * n + 1)
+    mass[n] = 1.0
+    gains = []
+    for played in range(n):
+        mass = reference_step(mass, played, style.win, style.draw, style.loss)
+        gains.append(sign_expectation(mass, n))
+    return np.array(gains)
+
+
 class TestTrinomialAgainstEnumeration:
     # the drawish defense of the running example, all 27 three-game paths
     def test_three_game_defense(self):
@@ -213,6 +224,25 @@ class TestConvolutionRoute:
             assert fixed_style_positive_prob(style, n) == pytest.approx(pos, abs=FORMULA_TOL)
             assert fixed_style_draw_prob(style, n) == pytest.approx(zero, abs=FORMULA_TOL)
 
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_curve_blocks_equal_per_stage_sums_byte_for_byte(self, rows, monkeypatch):
+        # blocks of exactly ``rows`` stages, filled at N = k * rows and with
+        # one stage over at N = k * rows + 1
+        for probs in ((0.45, 0.0, 0.55), (0.15, 0.7, 0.15), (0.1, 0.75, 0.15), (1.0, 0.0, 0.0)):
+            style = make_distribution(*probs)
+            for n in (rows, rows + 1, 4 * rows, 4 * rows + 1):
+                monkeypatch.setattr(analytic, "_SIGN_BLOCK_BYTES", rows * 8 * (2 * n + 1))
+                want = per_stage_gains(style, n)
+                assert fixed_style_gain_curve(style, n).tobytes() == want.tobytes()
+
+    def test_curve_blocks_of_the_default_size_equal_per_stage_sums(self):
+        # 256 KB holds 16 stages of 2001 cells at N = 1000; N = 1001 leaves a
+        # shorter last block
+        assert analytic._SIGN_BLOCK_BYTES // (8 * 2001) == 16
+        style = make_distribution(0.1, 0.75, 0.15)
+        for n in (1000, 1001):
+            assert fixed_style_gain_curve(style, n).tobytes() == per_stage_gains(style, n).tobytes()
+
     def test_fair_style_gain_is_exactly_zero(self):
         # the convolution keeps symmetric distributions bitwise symmetric
         style = make_distribution(0.25, 0.5, 0.25)
@@ -289,6 +319,15 @@ class TestSignExpectation:
         # a list takes the general guard to the array's value
         mass = [0.2, 0.3, 0.5]
         assert sign_expectation(mass, 1) == sign_expectation(np.array(mass), 1)
+
+    def test_a_mass_that_is_not_real_numbers_is_refused(self):
+        objects = np.array([0.5, 0.5], dtype=object)
+        for bad in (["a", "b"], np.array([b"x", b"y"]), objects, [0.5j, 0.5]):
+            with pytest.raises(InvalidState, match="real numbers"):
+                sign_expectation(bad, 0)
+        # integer masses take the general guard and are read as numbers
+        assert sign_expectation(np.array([0, 0, 1]), 1) == 1.0
+        assert sign_expectation(np.array([0.25, 0.25, 0.5], dtype=np.float32), 1) == 0.25
 
 
 class TestHittingProbability:

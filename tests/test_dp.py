@@ -175,6 +175,15 @@ class TestValueTable:
         assert policy.action(2, 3) is Action.DEF
         assert policy.action(5, -3) is Action.DEF
 
+    def test_offense_mask_needs_a_row_of_integer_scores(self, chess):
+        policy = solve(chess, 4).policy
+        for bad in (np.zeros((2, 2), int), np.array(1), np.zeros((1, 3), int), np.array([0.0])):
+            with pytest.raises(InvalidState, match="1-D integer array"):
+                policy.offense_mask(2, bad)
+        assert policy.offense_mask(2, [0, 1]).tolist() == [
+            policy.action(2, x) is Action.OFF for x in (0, 1)
+        ]
+
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.uint64])
     def test_offense_mask_agrees_with_action_for_every_integer_dtype(self, dtype):
         # the range check and the lookup must not run in the scores' dtype:
@@ -405,6 +414,12 @@ class TestGainCurve:
         entries = gain_curve(chess, 3).entries("optimal")
         assert [n for n, _ in entries] == [1, 2, 3]
         assert entries[1][1] == pytest.approx(0.08, abs=EXACT_TOL)
+
+    def test_entries_of_a_missing_label_are_refused(self, chess):
+        curve = gain_curve(chess, 3, ("optimal", "cat"))
+        for bad in ("nope", "off", ["cat"], None):
+            with pytest.raises(InvalidPolicy, match="no curve labelled"):
+                curve.entries(bad)
 
     def test_all_labels(self, chess):
         curve = gain_curve(chess, 8, POLICY_LABELS)

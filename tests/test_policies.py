@@ -43,7 +43,9 @@ from matchplay import (
     table_policy,
 )
 
-from conftest import make_spec
+from matchplay.sim import _final_signs
+
+from conftest import make_spec, reference_final_signs
 
 EXACT_TOL = 1e-12
 
@@ -101,7 +103,8 @@ class TestPolicyRules:
         for policy in (cat_policy(), cat_plus_policy(spec), fixed_policy("Def")):
             for k in (1, 2, 5):
                 for led in (False, True):
-                    row = policy.decide_row(k, scores, led)
+                    # a row played in one style may come back as one bool
+                    row = np.broadcast_to(policy.decide_row(k, scores, led), scores.shape)
                     expect = [policy.decide(k, int(x), led) is Action.OFF for x in scores]
                     assert row.tolist() == expect
         table = solve(spec, 6).policy
@@ -164,6 +167,24 @@ class TestAsPolicy:
                 bad()
             assert isinstance(info.value, MatchPlayError)
 
+    def test_a_policy_that_cannot_decide_is_refused(self, chess):
+        # a bare Policy overrides no decide_row; a callable that cannot take
+        # (games_remaining, score, has_led) is refused before any call
+        for bad in (Policy(), lambda k, x: "Off", lambda k, x, led, extra: "Off", len):
+            for call in (
+                lambda: exact_policy_gain(chess, bad, 3),
+                lambda: estimate_gain(chess, bad, 3, 10),
+                lambda: simulate_match(chess, bad, 3, 0),
+                lambda: propagate_policy(chess, bad, 3),
+            ):
+                with pytest.raises(InvalidPolicy):
+                    call()
+        with pytest.raises(InvalidPolicy, match="does not override decide_row"):
+            Policy().decide(3, 0, False)
+        # defaults and variadic parameters can take the three arguments
+        assert as_policy(lambda k, x, led=False, extra=0: "Off").decide(3, 0, False) is Action.OFF
+        assert as_policy(lambda *args: "Def").decide(3, 0, False) is Action.DEF
+
 
 class _MaskPolicy(Policy):
     """A custom policy whose offense mask is ``make(scores)``."""
@@ -205,6 +226,71 @@ class TestCustomMasks:
         for dtype in (np.int8, np.uint8, np.int64):
             as_int = _MaskPolicy(lambda scores: (scores <= 0).astype(dtype) * 3, False)
             assert exact_policy_gain(chess, as_int, 6) == exact_policy_gain(chess, as_bool, 6)
+
+
+class _ChaseRows(Policy):
+    """Offense before the first lead for all but the last two games, then other rules.
+
+    Two games out the row is ``has_led``; in the last game a led path
+    attacks and a never-led one attacks only from behind. Each row is one
+    bool where it can be, or with ``as_array`` always a mask of the scores'
+    shape, so the two must evaluate alike. Flag-blind, it reads ``has_led``
+    as False.
+    """
+
+    def __init__(self, as_array: bool, uses_lead_flag: bool):
+        self.as_array, self.uses_lead_flag = as_array, uses_lead_flag
+
+    def decide_row(self, games_remaining, scores, has_led):
+        has_led = has_led and self.uses_lead_flag
+        if games_remaining > 2:
+            row = not has_led
+        elif games_remaining == 2:
+            row = has_led
+        else:
+            row = True if has_led else scores < 0
+        return np.full(scores.shape, row) if self.as_array else row
+
+    def __repr__(self):
+        return f"_ChaseRows(as_array={self.as_array}, uses_lead_flag={self.uses_lead_flag})"
+
+
+class TestBoolRows:
+    @pytest.mark.parametrize("flag", [False, True], ids=["flag_blind", "flagged"])
+    def test_a_bool_row_evaluates_as_the_same_mask(self, chess, grind, flag):
+        as_bool, as_array = _ChaseRows(False, flag), _ChaseRows(True, flag)
+        scores = np.arange(-4, 5)
+        for k in (1, 2, 3):
+            for led in (False, True):
+                for x in scores.tolist():
+                    assert as_bool.decide(k, x, led) is as_array.decide(k, x, led)
+        for spec in (chess, grind):
+            for n in (1, 2, 3, 9):
+                got, want = exact_policy_gain(spec, as_bool, n), exact_policy_gain(spec, as_array, n)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                got = propagate_policy(spec, as_bool, n).stages
+                want = propagate_policy(spec, as_array, n).stages
+                assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+                signs = reference_final_signs(spec, as_array, n, 300, 7, 5)
+                assert _final_signs(spec, as_bool, n, 300, 7, 5).tobytes() == signs.tobytes()
+                estimate = estimate_gain(spec, as_bool, n, 300, 7)
+                assert estimate == estimate_gain(spec, as_array, n, 300, 7)
+                head = reference_final_signs(spec, as_array, n, 300, 7)
+                assert estimate.mean == ((head > 0).sum() - (head < 0).sum()) / 300
+
+    def test_built_in_rules_return_bools_where_the_row_is_constant(self, chess):
+        scores = np.arange(-3, 4)
+        assert fixed_policy("Off").decide_row(4, scores, False) is True
+        assert fixed_policy("Def").decide_row(1, scores, True) is False
+        for k in (1, 2, 5):
+            assert cat_policy().decide_row(k, scores, True) is False
+        attack, defend = CatPlusPolicy(True), CatPlusPolicy(False)
+        assert attack.decide_row(2, scores, False) is True
+        # the last game: constant unless final_offense equals has_led
+        assert attack.decide_row(1, scores, False) is True
+        assert defend.decide_row(1, scores, True) is False
+        assert attack.decide_row(1, scores, True).tolist() == (scores == 0).tolist()
+        assert defend.decide_row(1, scores, False).tolist() == (scores != 0).tolist()
 
 
 class TestExactEvaluation:

@@ -171,8 +171,9 @@ class TestEstimateGain:
         assert abs(est.mean - result.gain) <= 5.0 * est.std_error
 
     def test_sample_count_beyond_memory_is_refused(self, chess):
-        # numpy refuses an array this large before touching any memory
-        with pytest.raises(InvalidSampleCount, match=str(8 * 2**62)):
+        # numpy refuses an array this large before touching any memory; the
+        # scores of a two-game match take one int8 byte a sample
+        with pytest.raises(InvalidSampleCount, match=f"{2**62} bytes for one int8 score array"):
             estimate_gain(chess, "off", 2, 2**62)
 
     def test_vector_path_agrees_with_scalar_replay(self, chess, grind):
@@ -190,6 +191,21 @@ class TestEstimateGain:
                     want = reference_final_signs(spec, policy, n, count, 21, offset)
                     assert got.dtype == want.dtype
                     assert got.tobytes() == want.tobytes(), (policy, offset)
+
+    @pytest.mark.parametrize("n", [127, 128])
+    def test_scores_reaching_the_int8_edge_replay_exactly(self, n):
+        # up to 127 games the scores are int8; a sure win or loss reaches
+        # +-127 there and +-128 one game later, where they must be int16
+        for probs in ((1.0, 0.0, 0.0, 0.10, 0.75, 0.15), (0.0, 0.0, 1.0, 0.0, 1.0, 0.0)):
+            spec = make_spec(*probs)
+            table = table_policy(solve(spec, n).policy)
+            for policy in ("off", cat_policy(), cat_plus_policy(spec), table):
+                got = _final_signs(spec, policy, n, 40, seed=3, offset=2)
+                want = reference_final_signs(spec, policy, n, 40, 3, 2)
+                assert got.dtype == want.dtype == np.int64
+                assert got.tobytes() == want.tobytes(), (probs, policy)
+        sure_win = make_spec(1.0, 0.0, 0.0, 0.1, 0.75, 0.15)
+        assert _final_signs(sure_win, "off", n, 5, seed=0).tolist() == [1] * 5
 
     def test_callable_is_called_once_per_distinct_score(self, chess):
         calls = []
