@@ -8,7 +8,10 @@ is deliberate, the test suite plays the routes against each other.
 The convolution is ``walk``, the package's one forward loop and the only
 caller of the stencil ``step``. Its caller chooses each stage's coefficients:
 the fixed styles here pass constants, and every policy evaluation in
-``policies`` runs through the same walk.
+``policies`` runs through the same walk. A stage that plays one style steps
+through row views made once per block of stages, up to ``_BLOCK_STAGES - 1``
+cells wider than its band on each side; those cells hold exact +0 and stay
++0, so the bits are those of stepping the band alone.
 
 ``fixed_style_gain_curve`` reads each stage's gain as ``sign_expectation``
 does, with the same bits, but sums the stages in blocks of rows, a few numpy
@@ -16,7 +19,8 @@ calls per block rather than two per stage. The protect-the-lead curves in
 ``policies`` cannot: their band grows by a cell on each side every stage,
 and neither a segmented ``np.add.reduceat`` nor a tail sum shared by the two
 rules keeps the pairwise summation order, and so the bits, of a per-stage
-sum.
+sum; they take each stage's two sums directly instead, with no guard per
+call.
 
 The long-match limits (``hitting_probability``, ``cat_limit``,
 ``optimal_limit`` and their ``Regime`` and ``AsymptoticVerdict`` types) are
@@ -52,6 +56,11 @@ DEFAULT_VALUE_HORIZON_BUDGET = 100_000
 # calls at a few hundred games, while the scratch block stays at 64 KB
 _BLOCK_TERMS = 8192
 
+# stages per block of walk's row views: a larger block steps more zero cells
+# past each band, a smaller one slices more often; 8, 16, 32, 64 and 128
+# timed within noise of each other at 50 to 800 games
+_BLOCK_STAGES = 32
+
 # bytes of the scratch block of stage rows that fixed_style_gain_curve sums
 # at once: 16 rows at 1000 games, at least one row however long the match
 _SIGN_BLOCK_BYTES = 256 * 1024
@@ -64,20 +73,18 @@ def sign_expectation(mass: np.ndarray, center: int) -> float:
     a bitwise symmetric distribution yields exactly 0.0. Rounding can carry a
     sure result an ulp past +-1, so the result is clamped to [-1, 1].
     ``mass`` must be one-dimensional and ``center`` must index it, or
-    ``InvalidState`` is raised, as it is for a mass that is not real numbers;
-    a 1-D float array with a plain int center in range skips the general
-    guard, as the curves call this once a stage.
+    ``InvalidState`` is raised, as it is for a mass that is not real numbers.
+    The curves take these sums without the guard: ``fixed_style_gain_curve``
+    in blocks of stages, the protect-the-lead curves once a stage.
     """
-    fast = type(mass) is np.ndarray and mass.ndim == 1 and mass.dtype.kind == "f"
-    if not (fast and type(center) is int and 0 <= center < len(mass)):
-        mass = np.asarray(mass)
-        if mass.ndim != 1 or mass.dtype.kind not in "biuf":
-            raise InvalidState(
-                f"mass must be one-dimensional real numbers, got shape {mass.shape} "
-                f"and dtype {mass.dtype}"
-            )
-        rule = f"center must be an integer in [0, {len(mass)})"
-        center = require_integer(center, InvalidState, rule, 0, len(mass))
+    mass = np.asarray(mass)
+    if mass.ndim != 1 or mass.dtype.kind not in "biuf":
+        raise InvalidState(
+            f"mass must be one-dimensional real numbers, got shape {mass.shape} "
+            f"and dtype {mass.dtype}"
+        )
+    rule = f"center must be an integer in [0, {len(mass)})"
+    center = require_integer(center, InvalidState, rule, 0, len(mass))
     # np.add.reduce is what ndarray.sum runs, without its Python wrapper;
     # at center 0 no score lies below 0, and the reversed slice would wrap
     below = float(np.add.reduce(mass[center - 1 :: -1])) if center else 0.0
@@ -89,29 +96,36 @@ def sign_expectation(mass: np.ndarray, center: int) -> float:
     return gain
 
 
-def step(mass: np.ndarray, games_played: int, w, d, l, out: np.ndarray, tmp: np.ndarray):
-    """Write the centred score distribution ``mass`` one game later into ``out``.
+def step(views: tuple, w, d, l):
+    """One game of the stencil: the mass ``src`` one game later, written through views.
 
-    After t = ``games_played`` games only the band [-t, t] holds mass, so only
-    it is read and only [-t-1, t+1] is written; the cells skipped would add
-    exact zeros. ``out`` must hold zeros outside [-t-1, t+1], as the row two
-    stages back does (its band is [-t+1, t-1]), and ``tmp`` is scratch of at
-    least 2t + 1 cells; no array is allocated. Coefficients are scalars or
-    arrays over the band.
+    ``views`` is ``(src, up, below, level, flow)`` as ``_views`` makes them:
+    the source band, the output row shifted one cell up, one cell down and
+    level with it, and scratch of the band's width. ``up`` is overwritten
+    whatever it held; ``below``'s two lowest cells, which the shifted product
+    does not reach, must hold +0, as every cell outside the previous stage's
+    band does in the walk. No array is allocated. Coefficients are 0-d or
+    arrays over the source band.
     """
-    c, t = len(mass) // 2, games_played
-    src = mass[c - t : c + t + 1]
-    flow = tmp[: 2 * t + 1]
+    src, up, below, level, flow = views
     # (win flow + loss flow) + stay flow: this association keeps the
     # distribution bitwise symmetric for fair styles
-    np.multiply(src, w, out=out[c - t + 1 : c + t + 2])
-    out[c - t - 1] = out[c - t] = 0.0
-    below = out[c - t - 1 : c + t]
+    np.multiply(src, w, out=up)
     np.multiply(src, l, out=flow)
     np.add(below, flow, out=below)
-    level = out[c - t : c + t + 1]
     np.multiply(src, d, out=flow)
     np.add(level, flow, out=level)
+
+
+def _views(mass: np.ndarray, out: np.ndarray, tmp: np.ndarray, games_played: int) -> tuple:
+    """``step``'s views for the band [-t, t] after t = ``games_played`` games.
+
+    The source is that band of ``mass``; the output spans [-t-1, t+1] of
+    ``out``, and the scratch ``tmp`` needs at least 2t + 1 cells.
+    """
+    c, t = len(mass) // 2, games_played
+    src, flow = mass[c - t : c + t + 1], tmp[: 2 * t + 1]
+    return src, out[c - t + 1 : c + t + 2], out[c - t - 1 : c + t], out[c - t : c + t + 1], flow
 
 
 def style_coefficients(style: StyleDistribution) -> tuple:
@@ -127,15 +141,29 @@ def walk(n: int, coefficients, flagged: bool = False):
     """Yield the mass layers after 0..n games of an ``n``-game match.
 
     ``coefficients(games_remaining, band, has_led)`` returns the (win, draw,
-    loss) of the scores ``band`` reachable at that stage, each a scalar or an
-    array over the band. With ``flagged`` the layers are (never led, has led),
-    and a path moves to the second layer the first time its score turns
-    positive; otherwise a single layer carries all the mass and ``has_led``
-    is False. Layers have width 2n + 1 and are centred at n.
+    loss) of the scores ``band`` reachable at that stage, either all three
+    0-d arrays (one style for the whole band, as ``style_coefficients``
+    makes them) or all three arrays over the band. With ``flagged`` the
+    layers are (never led, has led), and a path moves to the second layer the
+    first time its score turns positive; otherwise a single layer carries all
+    the mass and ``has_led`` is False. Layers have width 2n + 1 and are
+    centred at n.
 
     The yielded rows are reused: each layer alternates between two rows, so
     a stage's rows are overwritten two stages later, and a caller that keeps
-    a stage must copy it.
+    a stage must copy it. A caller must not write to them.
+
+    Slicing costs as much as the cells at a few hundred games, so a 0-d
+    stage steps through views made once per block of ``_BLOCK_STAGES``
+    stages, each spanning the band of the block's last stage; a stage with
+    per-cell coefficients steps its exact band. Both give the same bits.
+    Masses and coefficients are at least +0 (``StyleDistribution`` stores a
+    -0.0 probability as +0.0), every cell outside a stage's band holds +0
+    (the rows start at zero and the bands only grow), and a cell stepped from
+    +0 inputs is ``(w*0 + l*0) + d*0 = +0``. So a wider view writes the band's
+    bits inside it and +0 outside it, which keeps the invariant, and
+    ``step``'s two cells below the shifted product hold +0 before their adds,
+    where ``0 + l*m`` has the bits of ``w*0 + l*m``.
     """
     scores = np.arange(-n, n + 1)
     count = 1 + flagged
@@ -144,20 +172,24 @@ def walk(n: int, coefficients, flagged: bool = False):
     layers, spare, tmp = rows[:count], rows[count:-1], rows[-1]
     layers[0][n] = 1.0
     yield layers
-    for played in range(n):
-        remaining, band = n - played, scores[n - played : n + played + 1]
-        # one expression per layer: no name keeps the coefficients alive into
-        # the next layer, so numpy reuses their buffers instead of parking one
-        # more per size in its small-array cache
-        for led, layer, out in zip((False, True), layers, spare):
-            step(layer, played, *coefficients(remaining, band, led), out, tmp)
-        layers, spare = spare, layers
-        if flagged:
-            # a never-led path can only reach +1 from 0, so one cell moves layers
-            not_led, led = layers
-            led[n + 1] += not_led[n + 1]
-            not_led[n + 1] = 0.0
-        yield layers
+    for first in range(0, n, _BLOCK_STAGES):
+        last = min(first + _BLOCK_STAGES, n) - 1
+        # each layer's rows swap roles every stage: one set of views per parity
+        block = [[_views(a, b, tmp, last) for a, b in zip(layers, spare)]]
+        block.append([_views(b, a, tmp, last) for a, b in zip(layers, spare)])
+        for played in range(first, last + 1):
+            remaining, band = n - played, scores[n - played : n + played + 1]
+            wide = block[(played - first) % 2]
+            for led, layer, out, views in zip((False, True), layers, spare, wide):
+                w, d, l = coefficients(remaining, band, led)
+                step(_views(layer, out, tmp, played) if w.ndim else views, w, d, l)
+            layers, spare = spare, layers
+            if flagged:
+                # a never-led path can only reach +1 from 0, so one cell moves layers
+                not_led, led = layers
+                led[n + 1] += not_led[n + 1]
+                not_led[n + 1] = 0.0
+            yield layers
 
 
 def _log_factorials(n: int) -> np.ndarray:

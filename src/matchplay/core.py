@@ -50,7 +50,9 @@ class StyleDistribution:
                 raise InvalidProbability(f"{name} must be finite, got {value!r}")
             if value < 0.0 or value > 1.0:
                 raise InvalidProbability(f"{name} must lie in [0, 1], got {value!r}")
-            object.__setattr__(self, name, float(value))
+            # + 0.0 stores -0.0 as +0.0: the forward walk relies on every
+            # coefficient times an empty cell being +0.0
+            object.__setattr__(self, name, float(value) + 0.0)
         total = self.win + self.draw + self.loss
         if abs(total - 1.0) > EQ_TOL:
             raise InvalidProbability(f"probabilities sum to {total!r}, expected 1 within {EQ_TOL}")

@@ -6,11 +6,14 @@ protect-the-lead rule attacks until it first leads and then sits on the lead,
 so its state is exactly "have I led yet".
 
 A policy's single primitive is ``decide_row``, the offense mask over a row
-of scores; the scalar ``decide`` is derived from it. A row that plays one
-style throughout may be returned as one plain ``bool`` instead of a mask:
-the fixed styles and the plain protect-the-lead rule do so at every stage,
-and the refined rule at every stage but the last. The evaluators then pick
-that style's coefficients or thresholds once for the whole row.
+of scores; the scalar ``decide`` is derived from it and raises
+``InvalidState`` unless the stage is a positive integer, the score an
+integer and the flag a bool, before any rule or callable reads them. A row
+that plays one style throughout may be returned as one plain ``bool``
+instead of a mask: the fixed styles and the plain protect-the-lead rule do
+so at every stage, and the refined rule at every stage but the last. The
+evaluators then pick that style's coefficients or thresholds once for the
+whole row.
 
 Evaluation is exact: the joint distribution of (score, led yet) is propagated
 forward one game at a time, which costs O(N^2) and no sampling error. Every
@@ -18,19 +21,23 @@ exact forward pass, here and in ``analytic``'s fixed-style convolution, is
 one walk, ``analytic.walk``, through one banded stencil, ``analytic.step``,
 which touches only the reachable scores and writes into rows the walk
 reuses, so a stage allocates nothing. A policy enters the walk as the
-coefficients of the style its offense mask picks for each cell. The
-trinomial sum in ``analytic`` shares no code with the walk and serves as the
-independent check. Every gain is read off a distribution by
-``analytic.sign_expectation`` and so lies in [-1, 1].
+coefficients of the style its offense mask picks for each cell; a row that
+plays one style steps through views the walk makes once per block of
+stages, a masked row its exact band. The trinomial sum in ``analytic``
+shares no code with the walk and serves as the independent check. Every
+gain is ``analytic.sign_expectation``'s two sums of a distribution, clamped,
+and so lies in [-1, 1].
 
 The protect-the-lead curves for all horizons come from one walk under the
 plain rule, which needs no mask: the never-led layer plays offense and the
 led layer defense. The refined rule changes only a level last game, so its
 curve takes the same walk's mass and recomputes the three cells around
-score 0 at each stage; the tests pin both curves bit for bit against
-evaluating each horizon on its own. A separate brute-force oracle enumerates every
-stage-and-score policy with integer arithmetic for tiny horizons and anchors
-the solver tests.
+score 0 at each stage, in Python floats from each layer's five cells near
+0. Each stage's sums are taken directly into the curves, with no per-call
+guard, and both curves are clamped once at the end; the tests pin both
+curves bit for bit against evaluating each horizon on its own. A separate
+brute-force oracle enumerates every stage-and-score policy with integer
+arithmetic for tiny horizons and anchors the solver tests.
 """
 
 from __future__ import annotations
@@ -86,6 +93,8 @@ class Policy:
         raise InvalidPolicy(f"{type(self).__name__} does not override decide_row")
 
     def decide(self, games_remaining: int, score: int, has_led: bool) -> Action:
+        """The style at one state, or ``InvalidState`` for a state ``_decision_point`` refuses."""
+        games_remaining, score, has_led = _decision_point(games_remaining, score, has_led)
         offense = offense_row(self, games_remaining, np.array([score]), has_led)
         if type(offense) is not bool:
             offense = offense[0]
@@ -93,6 +102,21 @@ class Policy:
 
     def __call__(self, games_remaining: int, score: int, has_led: bool = False) -> Action:
         return self.decide(games_remaining, score, has_led)
+
+
+def _decision_point(games_remaining, score, has_led) -> tuple[int, int, bool]:
+    """Stage, score and lead flag as plain Python values, or ``InvalidState``.
+
+    The stage and score are read as a table lookup reads them, by
+    ``dp._lattice_point``; the stage must also be positive, and the flag a
+    bool or numpy bool.
+    """
+    k, x = dp._lattice_point(games_remaining, score)
+    if k < 1:
+        raise InvalidState(f"stage must be a positive integer, got {games_remaining!r}")
+    if not isinstance(has_led, (bool, np.bool_)):
+        raise InvalidState(f"has_led must be a bool, got {has_led!r}")
+    return k, x, bool(has_led)
 
 
 def _coerce_action(value) -> Action:
@@ -178,7 +202,7 @@ class _FunctionPolicy(Policy):
         self.fn = fn
 
     def decide(self, games_remaining, score, has_led):
-        return _coerce_action(self.fn(games_remaining, score, has_led))
+        return _coerce_action(self.fn(*_decision_point(games_remaining, score, has_led)))
 
     def decide_row(self, games_remaining, scores, has_led):
         # one call per distinct score: a Monte Carlo row repeats each score
@@ -357,42 +381,61 @@ def lead_policy_curves(spec: MatchSpec, n_max: int) -> tuple[np.ndarray, np.ndar
     the last game starts level, and the stencil is linear, so its
     horizon-(s+1) mass is the plain stage-(s+1) mass except at scores -1, 0
     and +1. Those three cells are recomputed from the stage-s mass; no second
-    pass runs. Gains are computed over the reachable score band, and the tests
-    pin both curves bit for bit against evaluating each horizon separately.
+    pass runs.
+
+    Each stage's band mass goes into one preallocated row, and its gains are
+    ``sign_expectation``'s two sums, taken directly: the band is exactly the
+    horizon's whole row, so the sums have the per-horizon lengths and bits.
+    Both curves are clamped to [-1, 1] once at the end, which gives the
+    values of clamping each gain. The tests pin both curves bit for bit
+    against evaluating each horizon separately.
     """
     require_instance(spec, MatchSpec)
     n = require_horizon(n_max, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
-    final = spec.offense if cat_plus_policy(spec).final_offense else spec.defense
-    cat_gains = np.zeros(n)
-    catplus_gains = np.zeros(n)
-    level_finish = None
+    off, dfn = spec.offense, spec.defense
+    final = off if cat_plus_policy(spec).final_offense else dfn
+    coefs = [(style.win, style.draw, style.loss) for style in (off, dfn, final)]
+    cat_gains, catplus_gains = np.empty(n), np.empty(n)
+    # a stage's band mass starts at this row's base, as it does in the fresh
+    # row that exact_policy_gain sums: the sums see the same memory layout
+    scratch = np.empty(2 * n + 1)
+    # each layer's five cells at scores -2..2; past a layer's ends no mass
+    pad = [0.0] * max(0, 2 - n)
+    near = slice(n - 2 + len(pad), n + 3 - len(pad))
     walk = analytic.walk(n, _coefficients(spec, cat_policy()), True)
-    for played, (not_led, led) in enumerate(walk):
-        if played:
-            mass = not_led[n - played : n + played + 1] + led[n - played : n + played + 1]
-            cat_gains[played - 1] = analytic.sign_expectation(mass, played)
-            mass[played - 1 : played + 2] = level_finish
-            catplus_gains[played - 1] = analytic.sign_expectation(mass, played)
-        if played < n:
-            not_led_near = _near_zero_after_last_game(not_led, n, spec.offense, final)
-            led_near = _near_zero_after_last_game(led, n, spec.defense, final)
-            level_finish = [a + b for a, b in zip(not_led_near, led_near)]
+    not_led, led = next(walk)
+    for played in range(1, n + 1):
+        cells = pad + not_led[near].tolist() + pad, pad + led[near].tolist() + pad
+        level_finish = _level_finish(*cells, *coefs)
+        not_led, led = next(walk)
+        band = slice(n - played, n + played + 1)
+        mass = scratch[: 2 * played + 1]
+        np.add(not_led[band], led[band], out=mass)
+        above, below = mass[played + 1 :], mass[played - 1 :: -1]
+        cat_gains[played - 1] = np.add.reduce(above) - np.add.reduce(below)
+        mass[played - 1], mass[played], mass[played + 1] = level_finish
+        catplus_gains[played - 1] = np.add.reduce(above) - np.add.reduce(below)
+    # rounding can carry a sure result an ulp past +-1
+    np.clip(cat_gains, -1.0, 1.0, out=cat_gains)
+    np.clip(catplus_gains, -1.0, 1.0, out=catplus_gains)
     return cat_gains, catplus_gains
 
 
-def _near_zero_after_last_game(layer: np.ndarray, center: int, style, final) -> list:
-    """Mass at scores -1, 0, +1 after one game where score 0 plays ``final``.
+def _level_finish(not_led: list, led: list, off: tuple, dfn: tuple, final: tuple) -> tuple:
+    """Mass at scores -1, 0, +1 after a last game where score 0 plays ``final``.
 
-    Every other score plays ``style``. This is ``analytic.step``'s stencil,
-    with its association, on the five cells at scores -2..2 in Python floats.
+    ``not_led`` and ``led`` hold each layer's mass at scores -2..2; every
+    other score plays ``off`` in the never-led layer and ``dfn`` in the led
+    one, each a (win, draw, loss) tuple. This is ``analytic.step``'s stencil,
+    with its association, in Python floats, and the two layers' sum.
     """
-    pad = max(0, 2 - center)  # cells past the layer's ends hold no mass
-    src = [0.0] * pad + layer[center - 2 + pad : center + 3 - pad].tolist() + [0.0] * pad
-    coef = (style, style, final, style, style)
-    return [
-        (coef[i - 1].win * src[i - 1] + coef[i + 1].loss * src[i + 1]) + coef[i].draw * src[i]
-        for i in (1, 2, 3)
-    ]
+    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = not_led, led
+    (pw, pd, pl), (qw, qd, ql), (fw, fd, fl) = off, dfn, final
+    return (
+        ((pw * a0 + fl * a2) + pd * a1) + ((qw * b0 + fl * b2) + qd * b1),
+        ((pw * a1 + pl * a3) + fd * a2) + ((qw * b1 + ql * b3) + fd * b2),
+        ((fw * a2 + pl * a4) + pd * a3) + ((fw * b2 + ql * b4) + qd * b3),
+    )
 
 
 def cat_gain_curve(spec: MatchSpec, n_max: int) -> np.ndarray:

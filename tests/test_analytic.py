@@ -21,6 +21,8 @@ from matchplay import (
     Regime,
     RegimeNotCovered,
     cat_limit,
+    cat_plus_policy,
+    cat_policy,
     fixed_style_draw_prob,
     fixed_style_gain,
     fixed_style_gain_curve,
@@ -31,14 +33,20 @@ from matchplay import (
     propagate_policy,
     score_distribution,
     sign_expectation,
+    solve,
+    table_policy,
 )
 from matchplay import analytic
 from matchplay.analytic import step
+from matchplay.policies import _coefficients
 
 from conftest import make_spec, reference_step
 
 EXACT_TOL = 1e-12
 FORMULA_TOL = 1e-10
+
+# stages per block of the walk's views
+BLOCK = analytic._BLOCK_STAGES
 
 
 def enumerate_gain(style, n):
@@ -140,18 +148,61 @@ class TestExactTrinomialAnchor:
 
 class TestStencil:
     def test_reused_rows_give_the_allocating_result(self):
-        # stale values anywhere in the new band [-t-1, t+1] are overwritten,
-        # and the scratch row's old contents never leak into the result
+        # stale values in every cell the shifted product overwrites and in
+        # the scratch row never leak into the result, over the exact band and
+        # over views as wide as a later stage's band; the +0 cells below the
+        # product are the precondition the walk keeps, and every cell past
+        # the views is left as it was
         rng = np.random.default_rng(5)
         n = 6
         for t in range(n):
             mass = np.zeros(2 * n + 1)
             mass[n - t : n + t + 1] = rng.uniform(size=2 * t + 1)
-            out = np.zeros(2 * n + 1)
-            out[n - t - 1 : n + t + 2] = np.nan
-            tmp = np.full(2 * n + 1, np.nan)
-            step(mass, t, 0.3, 0.5, 0.2, out, tmp)
-            assert out.tobytes() == reference_step(mass, t, 0.3, 0.5, 0.2).tobytes()
+            want = reference_step(mass, t, 0.3, 0.5, 0.2)
+            for span in range(t, n):
+                out = np.full(2 * n + 1, np.nan)
+                out[n - span - 1 : n - span + 1] = 0.0
+                tmp = np.full(2 * n + 1, np.nan)
+                coefficients = map(np.array, (0.3, 0.5, 0.2))
+                step(analytic._views(mass, out, tmp, span), *coefficients)
+                written = slice(n - span - 1, n + span + 2)
+                assert out[written].tobytes() == want[written].tobytes()
+                assert np.isnan(np.delete(out, np.arange(2 * n + 1)[written])).all()
+            # per-cell coefficients over the exact band, as a policy mask picks them
+            w, d, l = (rng.uniform(size=2 * t + 1) for _ in range(3))
+            out = np.full(2 * n + 1, np.nan)
+            out[n - t - 1 : n - t + 1] = 0.0
+            step(analytic._views(mass, out, np.full(2 * n + 1, np.nan), t), w, d, l)
+            written = slice(n - t - 1, n + t + 2)
+            assert out[written].tobytes() == reference_step(mass, t, w, d, l)[written].tobytes()
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_walk_rows_hold_plus_zero_outside_the_band(self, n):
+        # the block views step past each stage's band and read the cells
+        # below the shifted product unset, so both need exact +0 there; a
+        # table policy steps the exact band with per-cell coefficients, the
+        # refined rule mixes the two at its last stage
+        spec = make_spec(0.45, -0.0, 0.55, -0.0, 1.0, -0.0)
+        table = table_policy(solve(spec, n).policy)
+        for policy in (cat_policy(), cat_plus_policy(spec), table):
+            coefficients = _coefficients(spec, policy)
+            for played, layers in enumerate(analytic.walk(n, coefficients, True)):
+                for row in layers:
+                    outside = np.r_[row[: n - played], row[n + played + 1 :]]
+                    assert outside.tobytes() == bytes(outside.nbytes)
+
+    def test_a_negative_zero_probability_gives_the_positive_zero_bits(self):
+        # a -0.0 coefficient made -0.0 cells where the +0.0 spec has +0.0,
+        # though the gains were equal
+        spec = make_spec(0.45, -0.0, 0.55, -0.0, 1.0, -0.0)
+        plain = make_spec(0.45, 0.0, 0.55, 0.0, 1.0, 0.0)
+        for side in ("offense", "defense"):
+            got = score_distribution(getattr(spec, side), 9)
+            assert got.tobytes() == score_distribution(getattr(plain, side), 9).tobytes()
+        for policy in ("Off", "Def", cat_policy(), cat_plus_policy(plain)):
+            got = propagate_policy(spec, policy, 9).stages
+            want = propagate_policy(plain, policy, 9).stages
+            assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
 
     def test_returned_arrays_own_their_memory(self, chess):
         # the walk reuses its rows, so nothing returned may be a view of them

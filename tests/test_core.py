@@ -55,6 +55,14 @@ class TestStyleDistribution:
         d = make_distribution(0, 1, 0)
         assert isinstance(d.win, float) and isinstance(d.draw, float)
 
+    def test_negative_zero_is_stored_as_positive_zero(self):
+        # -0.0 passes the [0, 1] check; before, it was stored and shown as is
+        for d in (make_distribution(-0.0, 1.0, -0.0), make_distribution(np.float64(-0.0), 1, 0)):
+            assert all(math.copysign(1.0, v) == 1.0 for v in (d.win, d.draw, d.loss))
+        spec = make_spec(0.45, -0.0, 0.55, -0.0, 1.0, -0.0)
+        assert repr(spec) == repr(make_spec(0.45, 0.0, 0.55, 0.0, 1.0, 0.0))
+        assert "-0.0" not in repr(spec)
+
     def test_drift(self):
         assert make_distribution(0.45, 0.0, 0.55).drift == pytest.approx(-0.10, abs=1e-15)
         assert make_distribution(0.10, 0.75, 0.15).drift == pytest.approx(-0.05, abs=1e-15)

@@ -36,6 +36,7 @@ from matchplay import (
     fixed_policy,
     fixed_style_gain,
     gain_curve,
+    lead_policy_curves,
     make_distribution,
     propagate_policy,
     simulate_match,
@@ -43,9 +44,12 @@ from matchplay import (
     table_policy,
 )
 
+from matchplay.analytic import _BLOCK_STAGES as BLOCK
+from matchplay.policies import _level_finish
 from matchplay.sim import _final_signs
+from matchplay.verify import SPEC_GRID
 
-from conftest import make_spec, reference_final_signs
+from conftest import make_spec, reference_final_signs, reference_stages, reference_step
 
 EXACT_TOL = 1e-12
 
@@ -122,6 +126,38 @@ class TestPolicyRules:
         policy = cat_policy()
         assert policy(3, 0) is Action.OFF
         assert policy(3, 0, True) is Action.DEF
+
+    def test_decide_refuses_a_bad_state(self, chess):
+        # before, the built-in rules read any score and stage and took any
+        # truthy flag as a lead; a callable is not called with a bad state
+        calls = []
+        recorded = as_policy(lambda k, x, led: calls.append((k, x, led)) or "Off")
+        table = table_policy(solve(chess, 4).policy)
+        policies = (cat_policy(), cat_plus_policy(chess), fixed_policy("Off"), table, recorded)
+        bad_states = (
+            (3, "a", False),
+            (3, 0.5, False),
+            (3, None, False),
+            (0, 1, False),
+            (-5, 1, False),
+            (2.5, 1, False),
+            (True, 1, False),
+            (3, True, False),
+            (3, 1, "maybe"),
+            (3, 1, 1),
+            (3, 1, None),
+        )
+        for policy in policies:
+            for state in bad_states:
+                for call in (policy.decide, policy):
+                    with pytest.raises(InvalidState):
+                        call(*state)
+        assert calls == []
+        # numpy integers and bools, and integral floats, are read as their values
+        for policy in policies:
+            got = policy.decide(np.int64(3), np.int32(-1), np.bool_(False))
+            assert got is policy.decide(3, -1, False) is policy(3.0, -1.0)
+        assert all(type(v) in (int, bool) for call in calls for v in call)
 
 
 class TestAsPolicy:
@@ -330,6 +366,38 @@ class TestExactEvaluation:
                 assert cat[m - 1] == exact_policy_gain(spec, cat_policy(), m)
                 assert plus[m - 1] == exact_policy_gain(spec, cat_plus_policy(spec), m)
 
+    @pytest.mark.parametrize("index", [0, 4, 6, 13])
+    def test_long_curves_bitwise_equal_per_horizon_evaluation(self, index):
+        # horizons on both sides of numpy's 8-way unrolled sum and its
+        # 128-element pairwise block, where the sums' grouping changes
+        spec = SPEC_GRID[index]
+        cat, plus = lead_policy_curves(spec, 300)
+        refined = cat_plus_policy(spec)
+        for m in (1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 255, 256, 257, 300):
+            want = exact_policy_gain(spec, cat_policy(), m), exact_policy_gain(spec, refined, m)
+            assert cat[m - 1].tobytes() == np.float64(want[0]).tobytes(), m
+            assert plus[m - 1].tobytes() == np.float64(want[1]).tobytes(), m
+
+    def test_level_finish_is_the_stencil_on_the_cells_near_zero(self):
+        # the refined rule's three cells are the reference stencil's, with
+        # score 0 playing the final style, summed over the two layers; a
+        # rounding slip there rarely reaches a gain's bits, so they are
+        # pinned here directly
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            spec = random_spec(rng)
+            final = spec.offense if rng.integers(2) else spec.defense
+            styles = (spec.offense, spec.defense, final)
+            layers = rng.uniform(size=(2, 5)) * (rng.uniform(size=(2, 5)) < 0.9)
+            got = _level_finish(*layers.tolist(), *[(s.win, s.draw, s.loss) for s in styles])
+            want = 0.0
+            for layer, style in zip(layers, styles):
+                # the source cells at scores -2..2; score 0 plays the final style
+                cells = (style, style, final, style, style)
+                w, d, l = np.array([(c.win, c.draw, c.loss) for c in cells]).T
+                want = want + reference_step(np.r_[0.0, layer, 0.0], 2, w, d, l)[2:5]
+            assert np.array(got).tobytes() == want.tobytes()
+
     def test_refinement_never_hurts(self):
         rng = np.random.default_rng(31)
         for _ in range(12):
@@ -375,6 +443,18 @@ class TestPropagation:
             n = int(rng.integers(1, 20))
             policy = cat_plus_policy(spec)
             assert propagate_policy(spec, policy, n).gain == exact_policy_gain(spec, policy, n)
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_stages_match_the_allocating_reference_across_view_blocks(self, n):
+        # the walk steps a constant-style stage through views made once per
+        # block of stages; the refined rule's last stage and every stage of a
+        # table policy step the exact band with per-cell coefficients
+        for spec in (SPEC_GRID[0], SPEC_GRID[4]):
+            policies = (cat_policy(), cat_plus_policy(spec), table_policy(solve(spec, n).policy))
+            for policy in policies:
+                got = propagate_policy(spec, policy, n).stages
+                want = reference_stages(spec, policy, n)
+                assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
 
     def test_lead_probability_monotone(self, chess):
         law = propagate_policy(chess, cat_policy(), 25)
