@@ -5,12 +5,16 @@ game is played in the same style: a direct trinomial sum over (wins, losses)
 counts and a stage-by-stage convolution of the one-game step. The redundancy
 is deliberate, the test suite plays the routes against each other.
 
-The convolution is ``walk``, the package's one forward loop and the only
-caller of the stencil ``step``. Its caller chooses each stage's coefficients:
-the fixed styles here pass constants, and every policy evaluation in
-``policies`` runs through the same walk. A stage that plays one style steps
-through row views made once per block of stages, up to ``_BLOCK_STAGES - 1``
-cells wider than its band on each side; those cells hold exact +0 and stay
+One kernel, ``stencil``, computes the one-game expectation
+``(w*win_from + l*loss_from) + d*stay_from`` for both directions: the Bellman
+sweep in ``dp`` applies it backward, to the values one score up, level and
+one score down, and ``walk``, the package's one forward loop, applies it
+forward, to the mass one score down, level and one score up. The walk's
+caller chooses each stage's coefficients: the fixed styles here pass
+constants, and every policy evaluation in ``policies`` runs through the same
+walk. Every stage steps row views made once per block of stages, up to
+``_BLOCK_STAGES - 1`` cells wider than its band on each side, with per-cell
+coefficients read from rows of their own; those cells hold exact +0 and stay
 +0, so the bits are those of stepping the band alone.
 
 ``fixed_style_gain_curve`` reads each stage's gain as ``sign_expectation``
@@ -96,40 +100,40 @@ def sign_expectation(mass: np.ndarray, center: int) -> float:
     return gain
 
 
-def step(views: tuple, w, d, l):
-    """One game of the stencil: the mass ``src`` one game later, written through views.
+def _stencil():
+    # np.multiply and np.add as closure cells: the sweep calls the kernel twice
+    # a stage, and reading them as attributes of np made those two calls about
+    # 10% slower on 57-cell rows
+    multiply, add = np.multiply, np.add
 
-    ``views`` is ``(src, up, below, level, flow)`` as ``_views`` makes them:
-    the source band, the output row shifted one cell up, one cell down and
-    level with it, and scratch of the band's width. ``up`` is overwritten
-    whatever it held; ``below``'s two lowest cells, which the shifted product
-    does not reach, must hold +0, as every cell outside the previous stage's
-    band does in the walk. No array is allocated. Coefficients are 0-d or
-    arrays over the source band.
-    """
-    src, up, below, level, flow = views
-    # (win flow + loss flow) + stay flow: this association keeps the
-    # distribution bitwise symmetric for fair styles
-    np.multiply(src, w, out=up)
-    np.multiply(src, l, out=flow)
-    np.add(below, flow, out=below)
-    np.multiply(src, d, out=flow)
-    np.add(level, flow, out=level)
+    def stencil(win_from, stay_from, loss_from, w, d, l, out, tmp):
+        """One game of the stencil, ``out = (w*win_from + l*loss_from) + d*stay_from``.
+
+        Gather form, into rows the caller owns: ``win_from`` holds, for each
+        cell of ``out``, the value a win moves in, ``loss_from`` the value a
+        loss moves in and ``stay_from`` the value a draw keeps, with ``tmp``
+        as scratch of ``out``'s shape. The first product overwrites every cell
+        of ``out``, so it may hold anything before the call. The Bellman sweep
+        passes the values one score up as ``win_from``, the forward walk the
+        mass one score down. Coefficients are 0-d or arrays of ``out``'s shape.
+        Five ufunc calls, no allocation.
+        """
+        # (win + loss) + stay: this association makes the stencil exactly
+        # antisymmetric for fair styles, in both directions
+        multiply(win_from, w, out)
+        multiply(loss_from, l, tmp)
+        add(out, tmp, out)
+        multiply(stay_from, d, tmp)
+        add(out, tmp, out)
+
+    return stencil
 
 
-def _views(mass: np.ndarray, out: np.ndarray, tmp: np.ndarray, games_played: int) -> tuple:
-    """``step``'s views for the band [-t, t] after t = ``games_played`` games.
-
-    The source is that band of ``mass``; the output spans [-t-1, t+1] of
-    ``out``, and the scratch ``tmp`` needs at least 2t + 1 cells.
-    """
-    c, t = len(mass) // 2, games_played
-    src, flow = mass[c - t : c + t + 1], tmp[: 2 * t + 1]
-    return src, out[c - t + 1 : c + t + 2], out[c - t - 1 : c + t], out[c - t : c + t + 1], flow
+stencil = _stencil()
 
 
 def style_coefficients(style: StyleDistribution) -> tuple:
-    """The (win, draw, loss) of ``style`` as 0-d arrays, for ``step`` and the sweep.
+    """The (win, draw, loss) of ``style`` as 0-d arrays, for ``stencil``.
 
     0-d arrays, not Python floats: a ufunc converts a Python scalar anew on
     every call, which is a measurable share of a short stage.
@@ -141,49 +145,65 @@ def walk(n: int, coefficients, flagged: bool = False):
     """Yield the mass layers after 0..n games of an ``n``-game match.
 
     ``coefficients(games_remaining, band, has_led)`` returns the (win, draw,
-    loss) of the scores ``band`` reachable at that stage, either all three
-    0-d arrays (one style for the whole band, as ``style_coefficients``
-    makes them) or all three arrays over the band. With ``flagged`` the
-    layers are (never led, has led), and a path moves to the second layer the
-    first time its score turns positive; otherwise a single layer carries all
-    the mass and ``has_led`` is False. Layers have width 2n + 1 and are
-    centred at n.
+    loss) of the scores ``band`` reachable at that stage: either a tuple of
+    three 0-d arrays (one style for the whole band, as ``style_coefficients``
+    makes them) or one (3, len(band)) array, a row per outcome. With
+    ``flagged`` the layers are (never led, has led), and a path moves to the
+    second layer the first time its score turns positive; otherwise a single
+    layer carries all the mass and ``has_led`` is False. Layers have width
+    2n + 1 and are centred at n.
 
     The yielded rows are reused: each layer alternates between two rows, so
     a stage's rows are overwritten two stages later, and a caller that keeps
     a stage must copy it. A caller must not write to them.
 
-    Slicing costs as much as the cells at a few hundred games, so a 0-d
-    stage steps through views made once per block of ``_BLOCK_STAGES``
-    stages, each spanning the band of the block's last stage; a stage with
-    per-cell coefficients steps its exact band. Both give the same bits.
-    Masses and coefficients are at least +0 (``StyleDistribution`` stores a
-    -0.0 probability as +0.0), every cell outside a stage's band holds +0
-    (the rows start at zero and the bands only grow), and a cell stepped from
-    +0 inputs is ``(w*0 + l*0) + d*0 = +0``. So a wider view writes the band's
-    bits inside it and +0 outside it, which keeps the invariant, and
-    ``step``'s two cells below the shifted product hold +0 before their adds,
-    where ``0 + l*m`` has the bits of ``w*0 + l*m``.
+    Every stage is one ``stencil`` call per layer, in gather form, through
+    views made once per block of ``_BLOCK_STAGES`` stages: slicing costs as
+    much as the cells at a few hundred games. The views span the output band
+    of the block's last stage, and the mass one score down and one score up
+    of it, so each row has a guard cell past either end of the yielded
+    layer. Per-cell coefficients are written into three coefficient rows at
+    their source cells, and the stencil reads them through the block's views
+    of those rows: the win row one cell down, the draw row level, the loss
+    row one cell up. Masses and coefficients are at least +0
+    (``StyleDistribution`` stores a -0.0 probability as +0.0), and every
+    cell outside a stage's band holds +0 in the mass rows and in the
+    coefficient rows (the rows start at zero and the bands only grow). A
+    cell stepped from +0 mass is ``(w*0 + l*0) + d*0 = +0``, and a band edge
+    adds +0 terms to a value at least +0, which keeps its bits. So a wider
+    view writes the band's bits inside it and +0 outside it, those of
+    stepping the band alone, and keeps the invariant.
     """
     scores = np.arange(-n, n + 1)
-    count = 1 + flagged
+    count, c = 1 + flagged, n + 1
     # row views made once: iterating a 2-D array would make new ones each stage
-    rows = list(np.zeros((2 * count + 1, 2 * n + 1)))
-    layers, spare, tmp = rows[:count], rows[count:-1], rows[-1]
-    layers[0][n] = 1.0
-    yield layers
+    rows = list(np.zeros((2 * count + 1, 2 * n + 3)))
+    cells = np.zeros((3, 2 * n + 3))  # per-cell win, draw and loss at their source cells
+    # two sets of layer rows, which swap roles every stage, and a scratch row;
+    # the yielded width-2n+1 views of each set are made once
+    sets, tmp = (rows[:count], rows[count:-1]), rows[-1]
+    yielded = [[row[1:-1] for row in layer_rows] for layer_rows in sets]
+    sets[0][0][c] = 1.0
+    yield yielded[0]
     for first in range(0, n, _BLOCK_STAGES):
-        last = min(first + _BLOCK_STAGES, n) - 1
-        # each layer's rows swap roles every stage: one set of views per parity
-        block = [[_views(a, b, tmp, last) for a, b in zip(layers, spare)]]
-        block.append([_views(b, a, tmp, last) for a, b in zip(layers, spare)])
-        for played in range(first, last + 1):
+        # the output band of the block's last stage, and its sources one cell
+        # down and one up
+        t = min(first + _BLOCK_STAGES, n)
+        lo, mid, hi = slice(c - t - 1, c + t), slice(c - t, c + t + 1), slice(c - t + 1, c + t + 2)
+        # one set of views per parity: a stage's source rows are the last one's output
+        block = [[(a[lo], a[mid], a[hi], b[mid]) for a, b in zip(*p)] for p in (sets, sets[::-1])]
+        flow = tmp[mid]
+        for played in range(first, t):
             remaining, band = n - played, scores[n - played : n + played + 1]
-            wide = block[(played - first) % 2]
-            for led, layer, out, views in zip((False, True), layers, spare, wide):
-                w, d, l = coefficients(remaining, band, led)
-                step(_views(layer, out, tmp, played) if w.ndim else views, w, d, l)
-            layers, spare = spare, layers
+            for led, (win_from, stay_from, loss_from, out) in zip((False, True), block[played % 2]):
+                coefs = coefficients(remaining, band, led)
+                if type(coefs) is not tuple:
+                    # per-cell: written at the source cells, read one cell down,
+                    # level and one cell up through the block's span
+                    cells[:, c - played : c + played + 1] = coefs
+                    coefs = cells[0, lo], cells[1, mid], cells[2, hi]
+                stencil(win_from, stay_from, loss_from, *coefs, out, flow)
+            layers = yielded[(played + 1) % 2]
             if flagged:
                 # a never-led path can only reach +1 from 0, so one cell moves layers
                 not_led, led = layers
@@ -312,6 +332,11 @@ def fixed_style_gain_curve(style: StyleDistribution, n_max: int) -> np.ndarray:
     ones. Reducing a C-contiguous block along its last axis runs numpy's
     pairwise summation on each row exactly as the reduce of that row alone
     does, so a block costs a few numpy calls however many stages it holds.
+
+    Every stage is summed over the full width 2 * n_max + 1, so a gain
+    depends on ``n_max`` in its last bit: the horizon-h gain can differ by
+    an ulp from ``exact_policy_gain`` at h, or from a curve to h, which sum
+    a row of 2h + 1 cells.
     """
     require_instance(style, StyleDistribution)
     n = require_horizon(n_max, DEFAULT_VALUE_HORIZON_BUDGET)

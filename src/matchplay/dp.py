@@ -73,11 +73,13 @@ def _bellman_sweep(
     ``evaluations`` counts the band's cells, ``computed`` the cells the
     stencil evaluated.
 
-    A stage allocates nothing but the rows it keeps: both styles' expectations
-    are written into scratch rows allocated once per call, and their maximum
-    straight into the buffer. A stage at the horizons of a parameter scan
-    costs a few microseconds, most of it per-call overhead, so the loop makes
-    few numpy calls: ufuncs bound to locals, ``out`` positional where numpy
+    A stage allocates nothing but the rows it keeps: each style's expectation
+    is one ``analytic.stencil`` call, the kernel the forward walk also
+    steps, with the values one score up as its ``win_from``, written into
+    scratch rows allocated once per call, and their maximum goes straight
+    into the buffer. A stage at the horizons of a parameter scan costs a few
+    microseconds, most of it per-call overhead, so the loop makes few calls:
+    the kernel and ufuncs bound to locals, ``out`` positional where numpy
     takes it, and each stage's gain read as a Python float.
 
     The clamp to [-1, 1] is in-place ``minimum`` and ``maximum``, not the
@@ -115,7 +117,7 @@ def _bellman_sweep(
     floor = np.array(-1.0) if min(s_off, s_def) > 1.0 else None
     # the policy bit of a cell frozen at -1 (low) or +1 (high)
     low_bit, high_bit = s_off < s_def, s_off > s_def
-    multiply, add, maximum, minimum = np.multiply, np.add, np.maximum, np.minimum
+    stencil, maximum, minimum = analytic.stencil, np.maximum, np.minimum
     center = n_max + 1
     xs = np.arange(-center, center + 1)
     buf = np.sign(xs).astype(np.float64)  # U_0 plus one guard cell per side
@@ -136,19 +138,11 @@ def _bellman_sweep(
         mid = buf[first : last + 1]
         down = buf[first - 1 : last]
         off, dfn, tmp = off_row[:width], def_row[:width], tmp_row[:width]
-        # (w*up + l*down) + d*mid: this association makes the stencil exactly
-        # antisymmetric for fair styles, so a fair defense floors the computed
-        # gain at 0.0 instead of at rounding noise below it
-        multiply(up, pw, off)
-        multiply(down, pl, tmp)
-        add(off, tmp, off)
-        multiply(mid, pd, tmp)
-        add(off, tmp, off)
-        multiply(up, qw, dfn)
-        multiply(down, ql, tmp)
-        add(dfn, tmp, dfn)
-        multiply(mid, qd, tmp)
-        add(dfn, tmp, dfn)
+        # a win leads to the value one score up; the stencil's association
+        # makes it exactly antisymmetric for fair styles, so a fair defense
+        # floors the computed gain at 0.0 instead of at rounding noise below it
+        stencil(up, mid, down, pw, pd, pl, off, tmp)
+        stencil(up, mid, down, qw, qd, ql, dfn, tmp)
         computed += width
         # the new values overwrite the old ones in place: every product that
         # reads them has been taken; maximum and minimum keep ``out=``, as
@@ -358,7 +352,11 @@ def gain_curve(spec: MatchSpec, n_max: int, policies: Iterable[str] = ("optimal"
     Labels: "optimal" (one backward sweep serves all horizons), "cat" and
     "catplus" (exact forward evaluation of the protect-the-lead policies),
     "off" and "def" (fixed styles via convolution); a bare string is one
-    label. Value-only memory, so every route is held to
+    label. The "off" and "def" gains depend on ``n_max`` in their last bit,
+    as ``analytic.fixed_style_gain_curve`` sums each stage over the full
+    width 2 * n_max + 1: they can differ by an ulp from per-horizon
+    evaluation, which the "cat" and "catplus" gains equal bit for bit.
+    Value-only memory, so every route is held to
     ``analytic.DEFAULT_VALUE_HORIZON_BUDGET``, 100,000 stages, read at call
     time.
     """

@@ -18,15 +18,16 @@ whole row.
 Evaluation is exact: the joint distribution of (score, led yet) is propagated
 forward one game at a time, which costs O(N^2) and no sampling error. Every
 exact forward pass, here and in ``analytic``'s fixed-style convolution, is
-one walk, ``analytic.walk``, through one banded stencil, ``analytic.step``,
-which touches only the reachable scores and writes into rows the walk
-reuses, so a stage allocates nothing. A policy enters the walk as the
-coefficients of the style its offense mask picks for each cell; a row that
-plays one style steps through views the walk makes once per block of
-stages, a masked row its exact band. The trinomial sum in ``analytic``
-shares no code with the walk and serves as the independent check. Every
-gain is ``analytic.sign_expectation``'s two sums of a distribution, clamped,
-and so lies in [-1, 1].
+one walk, ``analytic.walk``, through the stencil the Bellman sweep also
+uses, ``analytic.stencil``, in gather form over views the walk makes once
+per block of stages and into rows it reuses, so a stage allocates nothing
+but a masked row's coefficients. A policy enters the walk as the
+coefficients of the style its offense mask picks for each cell: 0-d for a
+row that plays one style, else one row per outcome, which the walk copies
+into coefficient rows read through the same block of views. The trinomial
+sum in ``analytic`` shares no code with the walk and serves as the
+independent check. Every gain is ``analytic.sign_expectation``'s two sums
+of a distribution, clamped, and so lies in [-1, 1].
 
 The protect-the-lead curves for all horizons come from one walk under the
 plain rule, which needs no mask: the never-led layer plays offense and the
@@ -287,12 +288,15 @@ def offense_row(
 def _coefficients(spec: MatchSpec, policy: Policy):
     """The coefficients callback of ``analytic.walk`` under ``policy``.
 
-    Each cell of a band plays the style that the policy's offense mask picks.
+    Each cell of a band plays the style that the policy's offense mask picks:
+    a tuple of 0-d arrays when one style plays the whole band, else one
+    (3, len(band)) array of the cells' win, draw and loss.
     """
     off, dfn = map(analytic.style_coefficients, (spec.offense, spec.defense))
-    (ow, od, ol), (dw, dd, dl) = off, dfn
+    # each style's (win, draw, loss) as a column, so one np.where picks all three
+    off_column, dfn_column = np.array([*off, *dfn]).reshape(2, 3, 1)
 
-    def coefficients(games_remaining: int, band: np.ndarray, has_led: bool) -> tuple:
+    def coefficients(games_remaining: int, band: np.ndarray, has_led: bool):
         offense = offense_row(policy, games_remaining, band, has_led)
         if type(offense) is bool:
             return off if offense else dfn
@@ -301,7 +305,7 @@ def _coefficients(spec: MatchSpec, policy: Policy):
             return off
         if count == 0:
             return dfn
-        return np.where(offense, ow, dw), np.where(offense, od, dd), np.where(offense, ol, dl)
+        return np.where(offense, off_column, dfn_column)
 
     return coefficients
 
@@ -426,8 +430,10 @@ def _level_finish(not_led: list, led: list, off: tuple, dfn: tuple, final: tuple
 
     ``not_led`` and ``led`` hold each layer's mass at scores -2..2; every
     other score plays ``off`` in the never-led layer and ``dfn`` in the led
-    one, each a (win, draw, loss) tuple. This is ``analytic.step``'s stencil,
-    with its association, in Python floats, and the two layers' sum.
+    one, each a (win, draw, loss) tuple. This is ``analytic.stencil``, with
+    its association, in Python floats, and the two layers' sum: on five
+    cells the scalar arithmetic is faster than five numpy calls per layer,
+    and a test pins its bits against the kernel.
     """
     (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = not_led, led
     (pw, pd, pl), (qw, qd, ql), (fw, fd, fl) = off, dfn, final

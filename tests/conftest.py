@@ -149,9 +149,10 @@ def exact_bellman_gains(spec: MatchSpec, n_max: int) -> list[Fraction]:
 def reference_step(mass: np.ndarray, games_played: int, w, d, l) -> np.ndarray:
     """The centred score distribution ``mass`` one game later, as a new array.
 
-    The allocating form of ``analytic.step``: same band, same association
-    ``(win flow + loss flow) + stay flow``, and a fresh zero row per stage
-    instead of a reused one.
+    A scatter-form reference for the walk's gather-form ``analytic.stencil``:
+    each source cell of the band sends its win, loss and stay flows out,
+    with the same association ``(win flow + loss flow) + stay flow``, into a
+    fresh zero row per stage instead of a reused one.
     """
     width = len(mass)
     c, t = width // 2, games_played

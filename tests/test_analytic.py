@@ -37,7 +37,7 @@ from matchplay import (
     table_policy,
 )
 from matchplay import analytic
-from matchplay.analytic import step
+from matchplay.analytic import stencil
 from matchplay.policies import _coefficients
 
 from conftest import make_spec, reference_step
@@ -148,40 +148,55 @@ class TestExactTrinomialAnchor:
 
 class TestStencil:
     def test_reused_rows_give_the_allocating_result(self):
-        # stale values in every cell the shifted product overwrites and in
-        # the scratch row never leak into the result, over the exact band and
-        # over views as wide as a later stage's band; the +0 cells below the
-        # product are the precondition the walk keeps, and every cell past
-        # the views is left as it was
+        # stale values in every cell of the output and scratch rows never leak
+        # into the result, forward over the exact band and over views as wide
+        # as a later stage's band, with scalar and per-cell coefficients, and
+        # backward on value rows; every cell past the views keeps its NaN
         rng = np.random.default_rng(5)
         n = 6
+        c = n + 1  # rows of 2n + 3 cells: a guard cell past either end
         for t in range(n):
-            mass = np.zeros(2 * n + 1)
-            mass[n - t : n + t + 1] = rng.uniform(size=2 * t + 1)
-            want = reference_step(mass, t, 0.3, 0.5, 0.2)
-            for span in range(t, n):
-                out = np.full(2 * n + 1, np.nan)
-                out[n - span - 1 : n - span + 1] = 0.0
-                tmp = np.full(2 * n + 1, np.nan)
-                coefficients = map(np.array, (0.3, 0.5, 0.2))
-                step(analytic._views(mass, out, tmp, span), *coefficients)
-                written = slice(n - span - 1, n + span + 2)
-                assert out[written].tobytes() == want[written].tobytes()
-                assert np.isnan(np.delete(out, np.arange(2 * n + 1)[written])).all()
-            # per-cell coefficients over the exact band, as a policy mask picks them
-            w, d, l = (rng.uniform(size=2 * t + 1) for _ in range(3))
-            out = np.full(2 * n + 1, np.nan)
-            out[n - t - 1 : n - t + 1] = 0.0
-            step(analytic._views(mass, out, np.full(2 * n + 1, np.nan), t), w, d, l)
-            written = slice(n - t - 1, n + t + 2)
-            assert out[written].tobytes() == reference_step(mass, t, w, d, l)[written].tobytes()
+            mass = np.zeros(2 * n + 3)
+            mass[c - t : c + t + 1] = rng.uniform(size=2 * t + 1)
+            # per-cell coefficients at their source cells, +0 past the band
+            cells = np.zeros((3, 2 * n + 3))
+            cells[:, c - t : c + t + 1] = rng.uniform(size=(3, 2 * t + 1))
+            band_coefficients = tuple(cells[:, c - t : c + t + 1])
+            for span in range(t + 1, n + 1):
+                # the output band [-span, span], its sources one cell down and one up
+                lo, mid, hi = (slice(c - span + s, c + span + 1 + s) for s in (-1, 0, 1))
+                shifted = cells[0, lo], cells[1, mid], cells[2, hi]
+                for coefficients, per_cell in (
+                    (tuple(map(np.array, (0.3, 0.5, 0.2))), (0.3, 0.5, 0.2)),
+                    (shifted, band_coefficients),
+                ):
+                    out, tmp = np.full((2, 2 * n + 3), np.nan)
+                    stencil(mass[lo], mass[mid], mass[hi], *coefficients, out[mid], tmp[mid])
+                    want = reference_step(mass[1:-1], t, *per_cell)
+                    assert out[mid].tobytes() == want[mid.start - 1 : mid.stop - 1].tobytes()
+                    for row in (out, tmp):
+                        assert np.isnan(np.r_[row[: mid.start], row[mid.stop :]]).all()
+        # backward, as the sweep calls it: a win leads to the value one score up
+        spec = make_spec(0.3, 0.1, 0.6, 0.15, 0.7, 0.15)
+        for style in (spec.offense, spec.defense):
+            w, d, l = style.win, style.draw, style.loss
+            coefficients = analytic.style_coefficients(style)
+            for width in (1, 2, 7, 40):
+                values = rng.uniform(-1.0, 1.0, size=width + 2)
+                up, level, down = values[2:], values[1:-1], values[:-2]
+                out, tmp = np.full((2, width + 4), np.nan)
+                inner = slice(2, width + 2)
+                stencil(up, level, down, *coefficients, out[inner], tmp[inner])
+                want = (w * up + l * down) + d * level  # band_reference's expression
+                assert out[inner].tobytes() == want.tobytes()
+                for row in (out, tmp):
+                    assert np.isnan(np.r_[row[:2], row[width + 2 :]]).all()
 
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_walk_rows_hold_plus_zero_outside_the_band(self, n):
-        # the block views step past each stage's band and read the cells
-        # below the shifted product unset, so both need exact +0 there; a
-        # table policy steps the exact band with per-cell coefficients, the
-        # refined rule mixes the two at its last stage
+        # the block views step past each stage's band, so the cells there
+        # need exact +0; a table policy steps the block views with per-cell
+        # coefficients at every stage, the refined rule at its last stage
         spec = make_spec(0.45, -0.0, 0.55, -0.0, 1.0, -0.0)
         table = table_policy(solve(spec, n).policy)
         for policy in (cat_policy(), cat_plus_policy(spec), table):

@@ -44,7 +44,7 @@ from matchplay import (
     table_policy,
 )
 
-from matchplay.analytic import _BLOCK_STAGES as BLOCK
+from matchplay.analytic import _BLOCK_STAGES as BLOCK, stencil
 from matchplay.policies import _level_finish
 from matchplay.sim import _final_signs
 from matchplay.verify import SPEC_GRID
@@ -390,13 +390,19 @@ class TestExactEvaluation:
             styles = (spec.offense, spec.defense, final)
             layers = rng.uniform(size=(2, 5)) * (rng.uniform(size=(2, 5)) < 0.9)
             got = _level_finish(*layers.tolist(), *[(s.win, s.draw, s.loss) for s in styles])
-            want = 0.0
+            want = kernel = 0.0
             for layer, style in zip(layers, styles):
                 # the source cells at scores -2..2; score 0 plays the final style
                 cells = (style, style, final, style, style)
                 w, d, l = np.array([(c.win, c.draw, c.loss) for c in cells]).T
                 want = want + reference_step(np.r_[0.0, layer, 0.0], 2, w, d, l)[2:5]
+                # the kernel gathers scores -1..1 from the wins at -2..0, the
+                # draws at -1..1 and the losses at 0..2, as the walk reads them
+                out, tmp = np.empty((2, 3))
+                stencil(layer[:3], layer[1:4], layer[2:], w[:3], d[1:4], l[2:], out, tmp)
+                kernel = kernel + out
             assert np.array(got).tobytes() == want.tobytes()
+            assert np.array(got).tobytes() == kernel.tobytes()
 
     def test_refinement_never_hurts(self):
         rng = np.random.default_rng(31)
@@ -446,9 +452,9 @@ class TestPropagation:
 
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_stages_match_the_allocating_reference_across_view_blocks(self, n):
-        # the walk steps a constant-style stage through views made once per
-        # block of stages; the refined rule's last stage and every stage of a
-        # table policy step the exact band with per-cell coefficients
+        # the walk steps every stage through views made once per block of
+        # stages; the refined rule's last stage and every stage of a table
+        # policy read per-cell coefficients through them
         for spec in (SPEC_GRID[0], SPEC_GRID[4]):
             policies = (cat_policy(), cat_plus_policy(spec), table_policy(solve(spec, n).policy))
             for policy in policies:
