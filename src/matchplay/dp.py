@@ -183,6 +183,17 @@ def _lattice_point(games_remaining, score) -> tuple[int, int]:
     return k, x
 
 
+def _score_row(scores) -> np.ndarray:
+    """``scores`` as a 1-D integer array; ``InvalidState`` for any other row."""
+    scores = np.asarray(scores)
+    if scores.ndim != 1 or scores.dtype.kind not in "iu":
+        raise InvalidState(
+            f"scores must be a 1-D integer array, got shape {scores.shape} "
+            f"and dtype {scores.dtype}"
+        )
+    return scores
+
+
 def _band(horizon: int, games_remaining: int, largest: int, first_stage: int) -> int:
     """Half-width of the stored band at a stage whose largest |score| is ``largest``.
 
@@ -278,12 +289,7 @@ class PolicyTable:
         the row, whatever the width of the band.
         """
         k, _ = _lattice_point(games_remaining, 0)
-        scores = np.asarray(scores)
-        if scores.ndim != 1 or scores.dtype.kind not in "iu":
-            raise InvalidState(
-                f"scores must be a 1-D integer array, got shape {scores.shape} "
-                f"and dtype {scores.dtype}"
-            )
+        scores = _score_row(scores)
         # the extremes as Python ints: np.abs and + wrap at a narrow dtype's edge
         largest = max(int(scores.max(initial=0)), -int(scores.min(initial=0)))
         band = _band(self.horizon, k, largest, 1)

@@ -70,6 +70,8 @@ DEFAULT_PROPAGATE_HORIZON_BUDGET = 2_000
 
 _BOOL = np.dtype(bool)
 
+_ACTION_NAMES = {"off": Action.OFF, "def": Action.DEF}
+
 
 class Policy:
     """Deterministic decision rule on (games remaining, score, led yet).
@@ -122,7 +124,7 @@ def _decision_point(games_remaining, score, has_led) -> tuple[int, int, bool]:
 
 def _coerce_action(value) -> Action:
     if isinstance(value, str):
-        value = {"off": Action.OFF, "def": Action.DEF}.get(value.strip().lower(), value)
+        value = _ACTION_NAMES.get(value.strip().lower(), value)
     if not isinstance(value, Action):
         raise InvalidPolicy(f"expected Off or Def, got {value!r}")
     return value
@@ -206,11 +208,12 @@ class _FunctionPolicy(Policy):
         return _coerce_action(self.fn(*_decision_point(games_remaining, score, has_led)))
 
     def decide_row(self, games_remaining, scores, has_led):
+        k, _, led = _decision_point(games_remaining, 0, has_led)
         # one call per distinct score: a Monte Carlo row repeats each score
         # many times, and a plain callable is a pure function of its inputs
-        distinct, where = np.unique(scores, return_inverse=True)
+        distinct, where = np.unique(dp._score_row(scores), return_inverse=True)
         offense = np.fromiter(
-            (self.decide(games_remaining, int(x), has_led) is Action.OFF for x in distinct),
+            (_coerce_action(self.fn(k, x, led)) is Action.OFF for x in distinct.tolist()),
             dtype=bool,
             count=len(distinct),
         )
@@ -288,9 +291,10 @@ def offense_row(
 def _coefficients(spec: MatchSpec, policy: Policy):
     """The coefficients callback of ``analytic.walk`` under ``policy``.
 
-    Each cell of a band plays the style that the policy's offense mask picks:
-    a tuple of 0-d arrays when one style plays the whole band, else one
-    (3, len(band)) array of the cells' win, draw and loss.
+    Each cell of a band plays the style that the policy's offense mask picks.
+    One style's tuple of 0-d arrays comes only from a row returned as a
+    plain bool; any mask, constant or not, gives one (3, len(band)) array of
+    the cells' win, draw and loss, with the same bits.
     """
     off, dfn = map(analytic.style_coefficients, (spec.offense, spec.defense))
     # each style's (win, draw, loss) as a column, so one np.where picks all three
@@ -300,11 +304,6 @@ def _coefficients(spec: MatchSpec, policy: Policy):
         offense = offense_row(policy, games_remaining, band, has_led)
         if type(offense) is bool:
             return off if offense else dfn
-        count = np.count_nonzero(offense)
-        if count == len(offense):
-            return off
-        if count == 0:
-            return dfn
         return np.where(offense, off_column, dfn_column)
 
     return coefficients

@@ -34,6 +34,12 @@ a comparison or a boolean ``&`` costs a few microseconds on a
 20,000-sample row, where a ``np.where`` on a random mask costs over a
 hundred. A row the policy plays in one style, returned as a plain bool,
 compares the words against that style's two thresholds alone.
+
+``simulate_match`` plays sample 0 of these rounds, so one match and
+``estimate_gain`` follow one outcome rule. Its key is an integer seed in
+[0, 2**128), checked as ``estimate_gain`` checks its seed; 16 bytes drawn
+from a numpy Generator, read little-endian; or, for None, the 128-bit
+entropy of a fresh ``np.random.SeedSequence``.
 """
 
 from __future__ import annotations
@@ -43,9 +49,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Action, MatchSpec, require_instance
-from .errors import InvalidSampleCount, InvalidSeed, require_horizon, require_integer, require_seed
+from .core import MatchSpec, require_instance
+from .errors import InvalidSampleCount, InvalidSeed, require_horizon, require_integer
 from .policies import as_policy, offense_row
+
+_SEED_RULE = "seed must be an integer in [0, 2**128)"
 
 
 class SimEstimate(NamedTuple):
@@ -60,31 +68,20 @@ class SimEstimate(NamedTuple):
 def simulate_match(spec: MatchSpec, policy, n_games: int, stream=None) -> int:
     """Play one match and return the sign of the final score.
 
-    ``stream`` may be a numpy Generator, a non-negative integer seed, or None
-    for fresh entropy.
+    The match is sample 0 of ``estimate_gain``'s rounds under one Philox
+    key. ``stream`` is that key, an integer in [0, 2**128); or a numpy
+    Generator, from which 16 bytes are drawn as the key, little-endian; or
+    None for a fresh 128-bit key from ``np.random.SeedSequence``.
     """
     require_instance(spec, MatchSpec)
     n = require_horizon(n_games)
-    policy = as_policy(policy)
     if isinstance(stream, np.random.Generator):
-        rng = stream
+        key = int.from_bytes(stream.bytes(16), "little")
+    elif stream is None:
+        key = np.random.SeedSequence().entropy
     else:
-        rng = np.random.default_rng(None if stream is None else require_seed(stream))
-    offense, defense = spec.offense, spec.defense
-    score = 0
-    has_led = False
-    for played in range(n):
-        action = policy.decide(n - played, score, has_led)
-        style = offense if action is Action.OFF else defense
-        u = rng.random()
-        if u < style.win:
-            score += 1
-        elif u < style.win + style.draw:
-            pass
-        else:
-            score -= 1
-        has_led = has_led or score >= 1
-    return (score > 0) - (score < 0)
+        key = require_integer(stream, InvalidSeed, _SEED_RULE, 0, 2**128)
+    return int(_final_signs(spec, policy, n, 1, key)[0])
 
 
 def _round_words(
@@ -186,7 +183,7 @@ def estimate_gain(
     require_instance(spec, MatchSpec)
     n = require_horizon(n_games)
     count = require_integer(samples, InvalidSampleCount, "sample count must be a positive integer")
-    key = require_integer(seed, InvalidSeed, "seed must be an integer in [0, 2**128)", 0, 2**128)
+    key = require_integer(seed, InvalidSeed, _SEED_RULE, 0, 2**128)
     signs = _final_signs(spec, policy, n, count, key)
     npos = int((signs > 0).sum())
     nneg = int((signs < 0).sum())

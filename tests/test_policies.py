@@ -181,6 +181,25 @@ class TestAsPolicy:
         assert policy.decide(4, -1, False) is Action.OFF
         assert policy.decide(4, 1, False) is Action.DEF
 
+    def test_callable_rows_are_checked_as_a_table_checks_them(self, chess):
+        # a float row is refused, not truncated to 0; a string row raises no
+        # raw ValueError; a 2-D row gives no 2-D mask
+        calls = []
+        policy = as_policy(lambda k, x, led: calls.append((k, x, led)) or ("Off" if x < 0 else "Def"))
+        table = solve(chess, 4).policy
+        for bad in (np.array([0.5, -0.5]), np.array(["a"]), np.zeros((2, 2), int)):
+            for call in (policy.decide_row, lambda k, row, led: table.offense_mask(k, row)):
+                with pytest.raises(InvalidState, match="1-D integer array"):
+                    call(3, bad, False)
+        with pytest.raises(InvalidState):
+            policy.decide_row(0, np.array([0]), False)
+        assert calls == []
+        row = np.array([-1, 2, -1, 0], dtype=np.int8)
+        assert policy.decide_row(3, row, np.True_).tolist() == [True, False, True, False]
+        # one call per distinct score, with plain Python values
+        assert calls == [(3, -1, True), (3, 0, True), (3, 2, True)]
+        assert all(type(v) in (int, bool) for call in calls for v in call)
+
     def test_rejects_other_types(self, chess):
         for bad in (42, None, 3.5):
             for call in (

@@ -58,12 +58,36 @@ class TestSimulateMatch:
         assert simulate_match(chess, "off", 3, np.random.default_rng(1)) in (-1, 0, 1)
         assert simulate_match(chess, "off", 3, None) in (-1, 0, 1)
 
+    def test_a_generator_stream_keys_the_match_by_its_state(self, chess):
+        # the key is 16 bytes drawn from the generator, read little-endian
+        for seed in range(20):
+            got = simulate_match(chess, cat_policy(), 9, np.random.default_rng(seed))
+            assert got == simulate_match(chess, cat_policy(), 9, np.random.default_rng(seed))
+            key = int.from_bytes(np.random.default_rng(seed).bytes(16), "little")
+            assert got == simulate_match(chess, cat_policy(), 9, key)
+
     def test_seed_validated(self, chess):
         for bad in (-1, True, np.bool_(False), 1.5, math.inf, "3"):
             with pytest.raises(InvalidSeed):
                 simulate_match(chess, "off", 3, bad)
-        # beyond the Philox key range that estimate_gain needs, numpy still seeds
-        assert simulate_match(chess, "off", 3, 2**200) in (-1, 0, 1)
+        # the Philox key range, as estimate_gain checks it
+        with pytest.raises(InvalidSeed):
+            simulate_match(chess, "off", 3, 2**200)
+
+    @pytest.mark.parametrize("key", [0, 1, 2**64, 2**128 - 1])
+    def test_a_match_is_sample_zero_of_the_rounds(self, chess, key):
+        policies = (
+            fixed_policy("Off"),
+            cat_policy(),
+            cat_plus_policy(chess),
+            table_policy(solve(chess, 16).policy),
+            lambda k, x, led: "Off" if x <= 0 else "Def",
+        )
+        for policy in policies:
+            for n in (1, 9, 16):
+                sign = simulate_match(chess, policy, n, key)
+                assert sign == estimate_gain(chess, policy, n, 1, key).mean
+                assert sign == reference_final_signs(chess, policy, n, 1, key)[0]
 
     def test_sure_draw_defense_locks_the_score(self):
         spec = make_spec(0.3, 0.0, 0.7, 0.0, 1.0, 0.0)
