@@ -77,7 +77,8 @@ def sign_expectation(mass: np.ndarray, center: int) -> float:
     a bitwise symmetric distribution yields exactly 0.0. Rounding can carry a
     sure result an ulp past +-1, so the result is clamped to [-1, 1].
     ``mass`` must be one-dimensional and ``center`` must index it, or
-    ``InvalidState`` is raised, as it is for a mass that is not real numbers.
+    ``InvalidState`` is raised, as it is for a mass that is not real numbers
+    or whose two sums are not finite.
     The curves take these sums without the guard: ``fixed_style_gain_curve``
     in blocks of stages, the protect-the-lead curves once a stage.
     """
@@ -93,6 +94,8 @@ def sign_expectation(mass: np.ndarray, center: int) -> float:
     # at center 0 no score lies below 0, and the reversed slice would wrap
     below = float(np.add.reduce(mass[center - 1 :: -1])) if center else 0.0
     gain = float(np.add.reduce(mass[center + 1 :])) - below
+    if not math.isfinite(gain):
+        raise InvalidState(f"mass must be finite, got a gain of {gain}")
     if gain > 1.0:
         return 1.0
     if gain < -1.0:

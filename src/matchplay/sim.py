@@ -140,30 +140,38 @@ def _final_signs(
             "score array, more than can be allocated"
         ) from None
     flagged = policy.uses_lead_flag
-    has_led = np.zeros(samples, dtype=bool) if flagged else None
     bitgen = np.random.Philox(key=seed)
     state = bitgen.state
-    for played in range(n_games):
-        remaining = n_games - played
-        offense = offense_row(policy, remaining, scores, False)
-        if flagged:
-            led = offense_row(policy, remaining, scores, True)
-            if offense is True and led is False:
-                offense = ~has_led  # the protect-the-lead rule's row
-            elif offense is not led:
-                offense = _pick(has_led, led, offense)
-        words = _round_words(bitgen, state, played, samples, offset)
-        # word < win implies word < stay, so a round never both wins and loses
-        if type(offense) is bool:
-            win, stay = (off_win, off_stay) if offense else (def_win, def_stay)
-            won, lost = words < win, words >= stay
-        else:
-            won = _pick(offense, words < off_win, words < def_win)
-            lost = _pick(offense, words >= off_stay, words >= def_stay)
-        scores += won.view(np.int8) - lost.view(np.int8)
-        if flagged:
-            has_led |= scores >= 1
-    return np.sign(scores, dtype=np.int64)
+    # one guard for every other per-sample array of the run: the lead flags,
+    # each round's words (8 bytes a sample) and bool masks, and the signs
+    try:
+        has_led = np.zeros(samples, dtype=bool) if flagged else None
+        for played in range(n_games):
+            remaining = n_games - played
+            offense = offense_row(policy, remaining, scores, False)
+            if flagged:
+                led = offense_row(policy, remaining, scores, True)
+                if offense is True and led is False:
+                    offense = ~has_led  # the protect-the-lead rule's row
+                elif offense is not led:
+                    offense = _pick(has_led, led, offense)
+            words = _round_words(bitgen, state, played, samples, offset)
+            # word < win implies word < stay, so a round never both wins and loses
+            if type(offense) is bool:
+                win, stay = (off_win, off_stay) if offense else (def_win, def_stay)
+                won, lost = words < win, words >= stay
+            else:
+                won = _pick(offense, words < off_win, words < def_win)
+                lost = _pick(offense, words >= off_stay, words >= def_stay)
+            scores += won.view(np.int8) - lost.view(np.int8)
+            if flagged:
+                has_led |= scores >= 1
+        return np.sign(scores, dtype=np.int64)
+    except MemoryError:
+        raise InvalidSampleCount(
+            f"{samples} samples need {8 * samples} bytes for each round's words and "
+            "for the final signs, more than can be allocated"
+        ) from None
 
 
 def estimate_gain(
@@ -185,13 +193,14 @@ def estimate_gain(
     count = require_integer(samples, InvalidSampleCount, "sample count must be a positive integer")
     key = require_integer(seed, InvalidSeed, _SEED_RULE, 0, 2**128)
     signs = _final_signs(spec, policy, n, count, key)
-    npos = int((signs > 0).sum())
-    nneg = int((signs < 0).sum())
-    mean = (npos - nneg) / count
+    # signs are in {-1, 0, 1}: their sum is wins minus losses and their
+    # nonzero count, the sum of squares, is wins plus losses; neither read
+    # allocates a per-sample mask
+    mean = int(signs.sum()) / count
     if count == 1:
         std_error = math.nan
     else:
-        # signs are in {-1, 0, 1}, so the sum of squares is just npos + nneg
-        variance = max(0.0, (npos + nneg - count * mean * mean) / (count - 1))
+        decided = int(np.count_nonzero(signs))
+        variance = max(0.0, (decided - count * mean * mean) / (count - 1))
         std_error = math.sqrt(variance / count)
     return SimEstimate(mean, std_error, count, key)

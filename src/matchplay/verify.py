@@ -16,6 +16,11 @@ Every check has one of three shapes:
 - ``user_spec`` reuses the grid's statistics (benchmark floor gap, mass
   drift and oracle gap) on the spec given on the command line.
 
+A fixed or randomized check passes by one rule, ``_worst``: its worst
+statistic, floored at zero (or at a lower bound of the statistic), is at
+most the tolerance. ``g2_chess``, ``parity_counterexample``,
+``fair_defense_floor`` and ``user_spec`` state their own rules.
+
 All comparisons between two exact routes use absolute tolerance 1e-12; checks
 against the closed-form trinomial formulas use 1e-10.
 """
@@ -135,6 +140,12 @@ def _fmt(value: float) -> str:
     return format(float(value), ".6g")
 
 
+def _worst(name: str, stats, tol: float = EXACT_TOL, floor: float = 0.0, ok: bool = True) -> Check:
+    """The pass rule: the worst statistic, floored at ``floor``, is at most ``tol``."""
+    worst = float(max((floor, *stats)))
+    return Check(name, ok and worst <= tol, _fmt(worst))
+
+
 def _optimal_gains(spec: MatchSpec, n_max: int) -> np.ndarray:
     return dp.gain_curve(spec, n_max).gains["optimal"]
 
@@ -155,13 +166,10 @@ def _mass_drift(spec: MatchSpec, policy, n_games: int) -> tuple[float, bool]:
     return dist.max_mass_drift(), min(float(stage.min()) for stage in dist.stages) >= 0.0
 
 
-def _oracle_gap(spec: MatchSpec, n_max: int) -> float:
-    """Largest gap between the solver and the exhaustive oracle, horizons 1..n_max."""
-    gaps = (
-        abs(dp.solve(spec, n).gain - policies.brute_force_optimal(spec, n))
-        for n in range(1, n_max + 1)
-    )
-    return max((0.0, *gaps))
+def _oracle_gap(spec: MatchSpec, gains: np.ndarray) -> float:
+    """Largest gap between the optimal ``gains`` of horizons 1, 2, ... and the exhaustive oracle."""
+    gaps = (abs(gain - policies.brute_force_optimal(spec, n)) for n, gain in enumerate(gains, 1))
+    return float(max((0.0, *gaps)))
 
 
 def _check_g2_chess() -> Check:
@@ -181,21 +189,19 @@ def _check_g2_chess() -> Check:
 def _check_score_monotonicity() -> Check:
     tables = [dp.solve(spec, 48).values for spec in SPEC_GRID]
     rows = [table._expanded_row(k) for table in tables for k in range(49)]
-    worst = max((0.0, *(float(np.max(row[:-1] - row[1:])) for row in rows if len(row) > 1)))
+    drops = (np.max(row[:-1] - row[1:]) for row in rows if len(row) > 1)
     bounded = not any(np.max(np.abs(row)) > 1.0 for row in rows)
-    return Check("score_monotonicity", bounded and worst <= EXACT_TOL, _fmt(worst))
+    return _worst("score_monotonicity", drops, ok=bounded)
 
 
 def _check_benchmark_floor() -> Check:
     gaps = (_floor_gap(dp.gain_curve(spec, 48, POLICY_LABELS)) for spec in SPEC_GRID)
-    worst = max((0.0, *gaps))
-    return Check("benchmark_floor", worst <= EXACT_TOL, _fmt(worst))
+    return _worst("benchmark_floor", gaps)
 
 
 def _check_catplus_over_cat() -> Check:
     curves = (policies.lead_policy_curves(spec, 60) for spec in SPEC_GRID)
-    worst = max((0.0, *(float(np.max(cat - catplus)) for cat, catplus in curves)))
-    return Check("catplus_over_cat", worst <= EXACT_TOL, _fmt(worst))
+    return _worst("catplus_over_cat", (np.max(cat - catplus) for cat, catplus in curves))
 
 
 def _check_fixed_policy_cross_check() -> Check:
@@ -205,8 +211,7 @@ def _check_fixed_policy_cross_check() -> Check:
         for style, action in ((spec.offense, "Off"), (spec.defense, "Def"))
         for n in (1, 7, 50, 200)
     )
-    worst = max((0.0, *gaps))
-    return Check("fixed_policy_cross_check", worst <= FORMULA_TOL, _fmt(worst))
+    return _worst("fixed_policy_cross_check", gaps, FORMULA_TOL)
 
 
 def _check_trinomial_convolution() -> Check:
@@ -225,8 +230,7 @@ def _check_trinomial_convolution() -> Check:
                 + analytic.fixed_style_draw_prob(style, n)
             )
             gaps.append(abs(total - 1.0))
-    worst = max((0.0, *gaps))
-    return Check("trinomial_convolution", worst <= FORMULA_TOL, _fmt(worst))
+    return _worst("trinomial_convolution", gaps, FORMULA_TOL)
 
 
 def _check_mass_conservation() -> Check:
@@ -235,14 +239,13 @@ def _check_mass_conservation() -> Check:
         for spec in SPEC_GRID[:8]
         for policy in (policies.cat_policy(), policies.cat_plus_policy(spec), "Off")
     ]
-    worst = max((0.0, *(drift for drift, _ in results)))
-    ok = worst <= EXACT_TOL and all(nonnegative for _, nonnegative in results)
-    return Check("mass_conservation", ok, _fmt(worst))
+    nonnegative = all(ok for _, ok in results)
+    return _worst("mass_conservation", (drift for drift, _ in results), ok=nonnegative)
 
 
 def _check_oracle_agreement() -> Check:
-    worst = max((0.0, *(_oracle_gap(spec, 4) for spec in SPEC_GRID)))
-    return Check("oracle_agreement", worst <= EXACT_TOL, _fmt(worst))
+    gaps = (_oracle_gap(spec, _optimal_gains(spec, 4)) for spec in SPEC_GRID)
+    return _worst("oracle_agreement", gaps)
 
 
 def _sure_draw_reports(offenses, n_max: int):
@@ -254,8 +257,7 @@ def _sure_draw_reports(offenses, n_max: int):
 
 def _check_protect_lead_identity() -> Check:
     reports = _sure_draw_reports(IDENTITY_OFFENSES, 200)
-    worst = max((0.0, *(report.max_discrepancy for report in reports)))
-    return Check("protect_lead_identity", worst <= EXACT_TOL, _fmt(worst))
+    return _worst("protect_lead_identity", (report.max_discrepancy for report in reports))
 
 
 def _check_protect_lead_floor() -> Check:
@@ -263,9 +265,8 @@ def _check_protect_lead_floor() -> Check:
     # is realized by stalling first and lead-chasing afterwards, so the
     # optimal gain can only sit on or above it
     reports = _sure_draw_reports(LEAD_FLOOR_OFFENSES, 120)
-    gaps = (float(np.max(report.catplus_envelope - report.optimal)) for report in reports)
-    worst = max((-np.inf, *gaps))
-    return Check("protect_lead_floor", worst <= EXACT_TOL, _fmt(worst))
+    gaps = (np.max(report.catplus_envelope - report.optimal) for report in reports)
+    return _worst("protect_lead_floor", gaps, floor=-np.inf)
 
 
 # Spec drawers for the randomized checks. Each check draws all its specs
@@ -322,19 +323,16 @@ def _fair_defense_spec(rng: np.random.Generator, strict: bool) -> MatchSpec:
 def _check_dominance_monotonicity(rng: np.random.Generator, draws: int) -> Check:
     pairs = [_dominance_pair(rng) for _ in range(draws)]
     gaps = (
-        float(np.max(_optimal_gains(base, 100) - _optimal_gains(better, 100)))
-        for base, better in pairs
+        np.max(_optimal_gains(base, 100) - _optimal_gains(better, 100)) for base, better in pairs
     )
-    worst = max((0.0, *gaps))
-    return Check("dominance_monotonicity", worst <= EXACT_TOL, _fmt(worst))
+    return _worst("dominance_monotonicity", gaps)
 
 
 def _check_parity_inequality(rng: np.random.Generator, draws: int) -> Check:
     # no-draw weak specs: an odd horizon never beats the even one before it
     specs = [_no_draw_spec(rng) for _ in range(draws)]
     curves = (_optimal_gains(spec, 101) for spec in specs)
-    worst = max((0.0, *(float(np.max(gains[2::2] - gains[1::2])) for gains in curves)))
-    return Check("parity_inequality", worst <= EXACT_TOL, _fmt(worst))
+    return _worst("parity_inequality", (np.max(gains[2::2] - gains[1::2]) for gains in curves))
 
 
 def _check_parity_counterexample() -> Check:
@@ -350,8 +348,8 @@ def _check_parity_counterexample() -> Check:
 
 def _check_heavy_defense_nonpositive(rng: np.random.Generator, draws: int) -> Check:
     specs = [_heavy_defense_spec(rng) for _ in range(draws)]
-    worst = max((-1.0, *(float(np.max(_optimal_gains(spec, 100))) for spec in specs)))
-    return Check("heavy_defense_nonpositive", worst <= EXACT_TOL, _fmt(worst))
+    peaks = (np.max(_optimal_gains(spec, 100)) for spec in specs)
+    return _worst("heavy_defense_nonpositive", peaks, floor=-1.0)
 
 
 def _check_fair_defense_floor(rng: np.random.Generator, draws: int) -> Check:
@@ -370,15 +368,14 @@ def _check_fair_defense_floor(rng: np.random.Generator, draws: int) -> Check:
 def _check_safe_defense_monotone(rng: np.random.Generator, draws: int) -> Check:
     specs = [MatchSpec(_split_simplex(rng, 0.6), _SURE_DRAW) for _ in range(draws)]
     curves = (_optimal_gains(spec, 120) for spec in specs)
-    worst = max((0.0, *(float(np.max(gains[:-1] - gains[1:])) for gains in curves)))
-    return Check("safe_defense_monotone", worst <= EXACT_TOL, _fmt(worst))
+    return _worst("safe_defense_monotone", (np.max(gains[:-1] - gains[1:]) for gains in curves))
 
 
 def _check_user_spec(spec: MatchSpec) -> Check:
     curve = dp.gain_curve(spec, 60, POLICY_LABELS)
     drift, nonnegative = _mass_drift(spec, policies.cat_policy(), 60)
     try:
-        oracle_gap = _oracle_gap(spec, 3)
+        oracle_gap = _oracle_gap(spec, curve.gains["optimal"][:3])
     except InvalidOracleInput:
         oracle_gap = 0.0  # spec is not a short decimal; the integer oracle does not apply
     ok = max(_floor_gap(curve), drift, oracle_gap) <= EXACT_TOL and nonnegative

@@ -395,6 +395,17 @@ class TestSignExpectation:
         assert sign_expectation(np.array([0, 0, 1]), 1) == 1.0
         assert sign_expectation(np.array([0.25, 0.25, 0.5], dtype=np.float32), 1) == 0.25
 
+    def test_a_mass_that_sums_to_no_finite_gain_is_refused(self):
+        # a NaN is not passed through, and an infinity is not clamped to a sure result
+        for bad in (
+            [np.nan, 0.0, 0.5],
+            [0.0, 0.0, np.inf],
+            [np.inf, 0.0, 0.0],
+            [np.inf, 0.0, np.inf],
+        ):
+            with pytest.raises(InvalidState, match="finite"):
+                sign_expectation(np.array(bad), 1)
+
 
 class TestHittingProbability:
     def test_never_wins(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from matchplay import (
 )
 from matchplay.sim import _final_signs, _round_words, _threshold
 
-from conftest import make_spec, reference_final_signs
+from conftest import fresh_python, make_spec, reference_final_signs
 
 
 # specs whose thresholds sit at the ends of the word range: a sure-win
@@ -199,6 +200,37 @@ class TestEstimateGain:
         # scores of a two-game match take one int8 byte a sample
         with pytest.raises(InvalidSampleCount, match=f"{2**62} bytes for one int8 score array"):
             estimate_gain(chess, "off", 2, 2**62)
+
+    def test_rounds_beyond_memory_are_refused(self):
+        # a child process caps its address space 256 MiB above its size: the
+        # 100 MB of int8 scores fit, a round's 800 MB of Philox words do not
+        pytest.importorskip("resource")
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("the child reads its address-space size from /proc/self/status")
+        out = fresh_python(
+            """
+import resource
+from matchplay import InvalidSampleCount, estimate_gain
+from matchplay.cli import main
+from matchplay.verify import CHESS
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = size + 256 * 2**20
+if hard != resource.RLIM_INFINITY:
+    cap = min(cap, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+try:
+    estimate_gain(CHESS, "Off", 2, 10**8)
+except InvalidSampleCount as exc:
+    print(exc)
+flags = "--pw 0.45 --pd 0 --pl 0.55 --qw 0.10 --qd 0.75 --ql 0.15".split()
+print(main(["simulate", *flags, "--horizon", "2", "--policy", "off", "--samples", "100000000"]))
+"""
+        )
+        refusal, code = out.splitlines()
+        assert refusal.startswith("100000000 samples need 800000000 bytes")
+        assert code == "2"
 
     def test_vector_path_agrees_with_scalar_replay(self, chess, grind):
         # byte for byte against one match at a time through the scalar decide

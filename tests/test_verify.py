@@ -59,6 +59,13 @@ class TestChecklist:
             else:
                 assert check.line() == expected
 
+    def test_every_verdict_is_a_plain_bool(self, checks):
+        # verify --out writes true or false only for a Python bool, not a numpy one
+        off_grid = MatchSpec.from_probs(1 / 3, 1 / 3, 1 - 2 / 3, 0.1, 0.8, 0.1)
+        users = [verify._check_user_spec(spec) for spec in (CHESS, off_grid)]
+        for check in (*checks, *users):
+            assert type(check.passed) is bool, check.name
+
     def test_two_game_anchor_line(self, checks):
         lines = {c.name: c.line() for c in checks}
         assert lines["g2_chess"] == "g2_chess=0.08 PASS"
