@@ -122,7 +122,11 @@ def _final_signs(
     seed: int,
     offset: int = 0,
 ) -> np.ndarray:
-    """Final score signs of samples [offset, offset + samples) for this seed."""
+    """Final score signs of samples [offset, offset + samples) for this seed.
+
+    Any ``MemoryError`` in the rounds, one raised by the policy included, is
+    reported as an ``InvalidSampleCount`` that names the count.
+    """
     policy = as_policy(policy)
     off, dfn = spec.offense, spec.defense
     # a sample wins below the win threshold and stays (wins or draws) below
@@ -143,7 +147,8 @@ def _final_signs(
     bitgen = np.random.Philox(key=seed)
     state = bitgen.state
     # one guard for every other per-sample array of the run: the lead flags,
-    # each round's words (8 bytes a sample) and bool masks, and the signs
+    # the policy's rows, each round's words (8 bytes a sample) and bool masks,
+    # and the signs
     try:
         has_led = np.zeros(samples, dtype=bool) if flagged else None
         for played in range(n_games):
@@ -186,7 +191,9 @@ def estimate_gain(
     Deterministic given (seed, samples, horizon, spec, policy); sample i's
     outcome does not depend on how many other samples are drawn. ``seed`` is
     the Philox key, an integer in [0, 2**128). The standard error uses the
-    unbiased sample variance and is NaN for a single sample.
+    unbiased sample variance and is NaN for a single sample. A run that
+    cannot allocate its per-sample arrays raises ``InvalidSampleCount``, as
+    does any ``MemoryError`` that the policy raises during the rounds.
     """
     require_instance(spec, MatchSpec)
     n = require_horizon(n_games)

@@ -23,6 +23,7 @@ from conftest import (
     CURVE_PEAK4_PROBS,
     CURVE_PEAK6_PROBS,
     GRIND_PROBS,
+    assert_lines_match_golden,
     make_spec,
 )
 
@@ -157,16 +158,8 @@ def test_criterion_09_property_suites():
     t0 = time.perf_counter()
     ran = run_checks(seed=0, draws=100)
     seconds = time.perf_counter() - t0
-    # what `matchplay verify` prints at its defaults, line by line; the gaps to
-    # the closed-form trinomial are built from libm's lgamma and exp, so their
-    # last bits may differ between platforms and only their verdict is pinned
-    golden = (GOLDEN / "verify_seed0.txt").read_text().splitlines()
-    assert [c.name for c in ran] == [line.split("=")[0] for line in golden]
-    for check, expected in zip(ran, golden):
-        if check.name in ("fixed_policy_cross_check", "trinomial_convolution"):
-            assert check.line().endswith(" PASS"), check.line()
-        else:
-            assert check.line() == expected
+    # what `matchplay verify` prints at its defaults
+    assert_lines_match_golden(ran, GOLDEN / "verify_seed0.txt")
     checks = {c.name: c for c in ran}
     for name in (
         "dominance_monotonicity",
