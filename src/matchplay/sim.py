@@ -49,6 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import analytic
 from .core import MatchSpec, require_instance
 from .errors import InvalidSampleCount, InvalidSeed, require_horizon, require_integer
 from .policies import as_policy, offense_row
@@ -71,10 +72,11 @@ def simulate_match(spec: MatchSpec, policy, n_games: int, stream=None) -> int:
     The match is sample 0 of ``estimate_gain``'s rounds under one Philox
     key. ``stream`` is that key, an integer in [0, 2**128); or a numpy
     Generator, from which 16 bytes are drawn as the key, little-endian; or
-    None for a fresh 128-bit key from ``np.random.SeedSequence``.
+    None for a fresh 128-bit key from ``np.random.SeedSequence``. The horizon
+    is held to ``analytic.DEFAULT_VALUE_HORIZON_BUDGET``, read at call time.
     """
     require_instance(spec, MatchSpec)
-    n = require_horizon(n_games)
+    n = require_horizon(n_games, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
     if isinstance(stream, np.random.Generator):
         key = int.from_bytes(stream.bytes(16), "little")
     elif stream is None:
@@ -193,10 +195,12 @@ def estimate_gain(
     the Philox key, an integer in [0, 2**128). The standard error uses the
     unbiased sample variance and is NaN for a single sample. A run that
     cannot allocate its per-sample arrays raises ``InvalidSampleCount``, as
-    does any ``MemoryError`` that the policy raises during the rounds.
+    does any ``MemoryError`` that the policy raises during the rounds. The
+    horizon is held to ``analytic.DEFAULT_VALUE_HORIZON_BUDGET``, read at call
+    time.
     """
     require_instance(spec, MatchSpec)
-    n = require_horizon(n_games)
+    n = require_horizon(n_games, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
     count = require_integer(samples, InvalidSampleCount, "sample count must be a positive integer")
     key = require_integer(seed, InvalidSeed, _SEED_RULE, 0, 2**128)
     signs = _final_signs(spec, policy, n, count, key)

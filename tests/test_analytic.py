@@ -27,6 +27,7 @@ from matchplay import (
     fixed_style_gain,
     fixed_style_gain_curve,
     fixed_style_positive_prob,
+    gain_curve,
     hitting_probability,
     make_distribution,
     optimal_limit,
@@ -39,6 +40,7 @@ from matchplay import (
 from matchplay import analytic
 from matchplay.analytic import stencil
 from matchplay.policies import _coefficients
+from matchplay.verify import CHESS, SPEC_GRID
 
 from conftest import make_spec, reference_step
 
@@ -460,6 +462,32 @@ class TestLimits:
         assert verdict.regime is Regime.SAFE_DEFENSE
         assert verdict.optimal_limit == 0.0
         assert verdict.cat_limit == pytest.approx(2.0 * 3.0 / 7.0 - 1.0, abs=EXACT_TOL)
+
+    # the solver's gains to N = 2000 against what each regime's theorem
+    # implies at every horizon, plus one value that pins the curve
+
+    def test_safe_defense_gains_rise_to_at_most_the_limit(self):
+        spec = make_spec(0.45, 0.0, 0.55, 0.0, 1.0, 0.0)
+        verdict = optimal_limit(spec)
+        assert verdict.regime is Regime.SAFE_DEFENSE
+        gains = gain_curve(spec, 2000).gains["optimal"]
+        assert np.all(np.diff(gains) >= 0.0)
+        assert np.all(gains <= verdict.optimal_limit)
+        # the rise is still short of L = 7/11 by 6.0e-8 at N = 2000
+        assert float(np.max(gains - verdict.optimal_limit)) == pytest.approx(-6.0e-8, rel=0.01)
+
+    def test_fair_non_safe_gains_never_fall_below_the_limit(self):
+        spec = SPEC_GRID[4]
+        assert optimal_limit(spec).regime is Regime.FAIR_NON_SAFE
+        gains = gain_curve(spec, 2000).gains["optimal"]
+        assert np.all(gains >= 0.0)
+        # the decay toward 0 shows: g_2000 = 0.0102 lies below g_1000 = 0.0143
+        assert gains[1999] < gains[999]
+
+    def test_both_strictly_losing_gains_approach_minus_one(self):
+        assert optimal_limit(CHESS).regime is Regime.BOTH_STRICTLY_LOSING
+        gains = gain_curve(CHESS, 2000).gains["optimal"]
+        assert -1.0 <= gains[1999] < -0.9999
 
     def test_optimal_limit_refuses_fair_offense(self):
         with pytest.raises(RegimeNotCovered):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import matchplay.policies
-from matchplay import estimate_gain, find_optimal_horizon
+from matchplay import analytic, estimate_gain, find_optimal_horizon
 from matchplay.cli import main
 
 from conftest import CHESS_PROBS, CURVE_PEAK4_PROBS, CURVE_PEAK6_PROBS, fresh_python
@@ -253,6 +253,14 @@ class TestExitCodes:
     def test_over_budget(self, capsys):
         code, _, err = run(capsys, "curve", *spec_flags(CHESS_PROBS), "--n-max", "200000")
         assert code == 3 and "budget" in err
+
+    def test_simulate_over_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(analytic, "DEFAULT_VALUE_HORIZON_BUDGET", 10)
+        code, out, err = run(
+            capsys, "simulate", *spec_flags(CHESS_PROBS),
+            "--policy", "cat", "--horizon", "11", "--samples", "1",
+        )
+        assert code == 3 and out == "" and "budget" in err
 
     def test_bad_sample_count(self, capsys):
         code, _, _ = run(

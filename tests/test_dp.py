@@ -26,6 +26,7 @@ from matchplay import (
     cat_plus_gain_curve,
     cat_plus_identity_check,
     cat_policy,
+    estimate_gain,
     exact_policy_gain,
     find_optimal_horizon,
     fixed_style_draw_prob,
@@ -34,8 +35,10 @@ from matchplay import (
     fixed_style_positive_prob,
     gain_curve,
     lead_policy_curves,
+    optimal_limit,
     propagate_policy,
     score_distribution,
+    simulate_match,
     solve,
     table_policy,
 )
@@ -83,6 +86,8 @@ _BUDGETED = {
     "cat_gain_curve": (_VALUE, cat_gain_curve),
     "cat_plus_gain_curve": (_VALUE, cat_plus_gain_curve),
     "cat_plus_identity_check": (_VALUE, cat_plus_identity_check),
+    "estimate_gain": (_VALUE, lambda spec, n: estimate_gain(spec, cat_policy(), n, 10, 1)),
+    "simulate_match": (_VALUE, lambda spec, n: simulate_match(spec, cat_policy(), n, 1)),
 }
 
 
@@ -486,6 +491,16 @@ class TestFindOptimalHorizon:
             assert best.gain == gains[best.horizon - 1]
             assert best.gain == float(np.max(gains))
             assert not np.any(gains[: best.horizon - 1] >= best.gain)
+
+    def test_n_star_is_the_first_horizon_of_the_float_maximum(self):
+        # a sure-draw defense: the exact gain rises toward L = 0.2 at every
+        # horizon, but the float gains stall at one value from N = 1030 on,
+        # so N* is where rounding stops the rise, not the exact optimum
+        spec = SPEC_GRID[12]
+        assert find_optimal_horizon(spec, 2000) == (1030, 0.19999999999999224)
+        gains = gain_curve(spec, 2000).gains["optimal"]
+        assert np.count_nonzero(gains == gains.max()) == 971
+        assert gains.max() < optimal_limit(spec).optimal_limit
 
 
 class TestSolverAgainstForwardEvaluation:

@@ -52,3 +52,25 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [int(count) for count, _ in rows] == [7, 1, 8]
     assert rows[-1][1] == "total"
+
+
+def test_pins_pass_and_fail_on_a_one_character_edit(capsys):
+    pins = load_tool("pins")
+    row = pins.Pin("oracle CHESS N=2", "repr(policies.brute_force_optimal(CHESS, 2))", "0.08", 1000)
+    assert pins.run([row]) == 0
+    passed = capsys.readouterr().out.splitlines()
+    assert len(passed) == 1
+    assert passed[0].split()[:4] == ["oracle", "CHESS", "N=2", "PASS"]
+    assert "peak" in passed[0]
+
+    assert pins.run([row._replace(expected="0.09")]) == 1
+    failed = capsys.readouterr().out.splitlines()
+    assert failed[0].split()[:4] == ["oracle", "CHESS", "N=2", "FAIL"]
+    assert failed[1:] == ["    expected '0.09'", "    actual   '0.08'"]
+
+
+def test_pins_fail_above_the_memory_bound(capsys):
+    pins = load_tool("pins")
+    row = pins.Pin("oracle CHESS N=2", "repr(policies.brute_force_optimal(CHESS, 2))", "0.08", 1)
+    assert pins.run([row]) == 1
+    assert capsys.readouterr().out.split()[3] == "FAIL"
