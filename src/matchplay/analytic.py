@@ -12,10 +12,14 @@ one score down, and ``walk``, the package's one forward loop, applies it
 forward, to the mass one score down, level and one score up. The walk's
 caller chooses each stage's coefficients: the fixed styles here pass
 constants, and every policy evaluation in ``policies`` runs through the same
-walk. Every stage steps row views made once per block of stages, up to
-``_BLOCK_STAGES - 1`` cells wider than its band on each side, with per-cell
-coefficients read from rows of their own; those cells hold exact +0 and stay
-+0, so the bits are those of stepping the band alone.
+walk. A walk's layers (one, or the never-led and has-led pair) are
+interleaved by score in one row per parity, so one stencil call steps them
+all, through row views made once per block of stages, up to
+``_BLOCK_STAGES - 1`` cells wider than its band on each side, with the
+coefficients read from rows interleaved the same way (a lone layer in one
+style passes its scalars instead). Outside the band the mass is exact +0
+and every coefficient finite and at least +0, so those cells stay +0 and
+the bits are those of stepping each layer's band alone.
 
 ``fixed_style_gain_curve`` reads each stage's gain as ``sign_expectation``
 does, with the same bits, but sums the stages in blocks of rows, a few numpy
@@ -148,71 +152,84 @@ def walk(n: int, coefficients, flagged: bool = False):
     """Yield the mass layers after 0..n games of an ``n``-game match.
 
     ``coefficients(games_remaining, band, has_led)`` returns the (win, draw,
-    loss) of the scores ``band`` reachable at that stage: either a tuple of
-    three 0-d arrays (one style for the whole band, as ``style_coefficients``
-    makes them) or one (3, len(band)) array, a row per outcome. With
-    ``flagged`` the layers are (never led, has led), and a path moves to the
-    second layer the first time its score turns positive; otherwise a single
-    layer carries all the mass and ``has_led`` is False. Layers have width
-    2n + 1 and are centred at n.
+    loss) of the scores ``band`` reachable at that stage in the layer that
+    ``has_led`` names: either a tuple of three 0-d arrays (one style for the
+    whole band, as ``style_coefficients`` makes them) or one (3, len(band))
+    array, a row per outcome. With ``flagged`` the layers are (never led,
+    has led), and a path moves to the second layer the first time its score
+    turns positive; otherwise a single layer carries all the mass and
+    ``has_led`` is False. Layers have width 2n + 1 and are centred at n.
 
-    The yielded rows are reused: each layer alternates between two rows, so
-    a stage's rows are overwritten two stages later, and a caller that keeps
-    a stage must copy it. A caller must not write to them.
+    The yielded layers are views of rows the walk reuses, strided when there
+    are two: a stage's rows are overwritten two stages later, so a caller
+    that keeps a stage must copy it, and a caller must not write to them.
 
-    Every stage is one ``stencil`` call per layer, in gather form, through
-    views made once per block of ``_BLOCK_STAGES`` stages: slicing costs as
+    The layers share one row per parity, interleaved by score: with L
+    layers, layer l at score x sits at ``(x + n + 1) * L + l``, and each
+    layer has a guard cell past either end of its yielded width. So a stage
+    is one ``stencil`` call for every layer, in gather form, through views
+    made once per block of ``_BLOCK_STAGES`` stages, as slicing costs as
     much as the cells at a few hundred games. The views span the output band
     of the block's last stage, and the mass one score down and one score up
-    of it, so each row has a guard cell past either end of the yielded
-    layer. Per-cell coefficients are written into three coefficient rows at
+    of it. The coefficients lie in three rows interleaved the same way, at
     their source cells, and the stencil reads them through the block's views
-    of those rows: the win row one cell down, the draw row level, the loss
-    row one cell up. Masses and coefficients are at least +0
-    (``StyleDistribution`` stores a -0.0 probability as +0.0), and every
-    cell outside a stage's band holds +0 in the mass rows and in the
-    coefficient rows (the rows start at zero and the bands only grow). A
+    of those rows: the win row one score down, the draw row level, the loss
+    row one score up. A layer played in one style keeps that style's (win,
+    draw, loss) in all its slots and rewrites them only when it is handed a
+    tuple other than the one they hold; a per-cell array is written over the
+    layer's band alone. A lone layer in one style passes its 0-d
+    coefficients to the stencil instead, which multiply faster than a row
+    once the band spans thousands of cells, with the same bits.
+
+    The invariant is +0 mass outside a stage's band (the rows start at zero
+    and the bands only grow) and finite coefficients of at least +0
+    everywhere (``StyleDistribution`` stores a -0.0 probability as +0.0). A
     cell stepped from +0 mass is ``(w*0 + l*0) + d*0 = +0``, and a band edge
     adds +0 terms to a value at least +0, which keeps its bits. So a wider
     view writes the band's bits inside it and +0 outside it, those of
-    stepping the band alone, and keeps the invariant.
+    stepping each layer's band alone, and keeps the invariant.
     """
     scores = np.arange(-n, n + 1)
     count, c = 1 + flagged, n + 1
-    # row views made once: iterating a 2-D array would make new ones each stage
-    rows = list(np.zeros((2 * count + 1, 2 * n + 3)))
-    cells = np.zeros((3, 2 * n + 3))  # per-cell win, draw and loss at their source cells
-    # two sets of layer rows, which swap roles every stage, and a scratch row;
-    # the yielded width-2n+1 views of each set are made once
-    sets, tmp = (rows[:count], rows[count:-1]), rows[-1]
-    yielded = [[row[1:-1] for row in layer_rows] for layer_rows in sets]
-    sets[0][0][c] = 1.0
+    layers = tuple(enumerate((False, True)[:count]))
+    # two mass rows, which swap roles every stage, and a scratch row; the
+    # yielded views of each layer are made once
+    *sets, tmp = np.zeros((3, (2 * n + 3) * count))
+    yielded = [[row[count + i : (2 * n + 2) * count : count] for i, _ in layers] for row in sets]
+    cells = np.zeros((3, (2 * n + 3) * count))  # win, draw and loss at their source cells
+    slots = [cells[:, i::count] for i, _ in layers]
+    held = [None] * count  # the tuple whose values fill each layer's slots
+    sets[0][c * count] = 1.0
     yield yielded[0]
     for first in range(0, n, _BLOCK_STAGES):
-        # the output band of the block's last stage, and its sources one cell
-        # down and one up
+        # the output band of the block's last stage, and its sources one
+        # score down and one up
         t = min(first + _BLOCK_STAGES, n)
-        lo, mid, hi = slice(c - t - 1, c + t), slice(c - t, c + t + 1), slice(c - t + 1, c + t + 2)
-        # one set of views per parity: a stage's source rows are the last one's output
-        block = [[(a[lo], a[mid], a[hi], b[mid]) for a, b in zip(*p)] for p in (sets, sets[::-1])]
-        flow = tmp[mid]
+        lo, mid, hi = (slice((c - t + k) * count, (c + t + 1 + k) * count) for k in (-1, 0, 1))
+        # one set of views per parity: a stage's source row is the last one's output
+        block = [(a[lo], a[mid], a[hi], b[mid]) for a, b in (sets, sets[::-1])]
+        rows, flow = (cells[0, lo], cells[1, mid], cells[2, hi]), tmp[mid]
         for played in range(first, t):
             remaining, band = n - played, scores[n - played : n + played + 1]
-            for led, (win_from, stay_from, loss_from, out) in zip((False, True), block[played % 2]):
+            for i, led in layers:
                 coefs = coefficients(remaining, band, led)
                 if type(coefs) is not tuple:
-                    # per-cell: written at the source cells, read one cell down,
-                    # level and one cell up through the block's span
-                    cells[:, c - played : c + played + 1] = coefs
-                    coefs = cells[0, lo], cells[1, mid], cells[2, hi]
-                stencil(win_from, stay_from, loss_from, *coefs, out, flow)
-            layers = yielded[(played + 1) % 2]
+                    slots[i][:, c - played : c + played + 1] = coefs
+                    held[i] = None
+                elif coefs is not held[i]:
+                    slots[i][...] = np.reshape(coefs, (3, 1))
+                    held[i] = coefs
+            if flagged or type(coefs) is not tuple:
+                coefs = rows
+            win_from, stay_from, loss_from, out = block[played % 2]
+            stencil(win_from, stay_from, loss_from, *coefs, out, flow)
             if flagged:
-                # a never-led path can only reach +1 from 0, so one cell moves layers
-                not_led, led = layers
-                led[n + 1] += not_led[n + 1]
-                not_led[n + 1] = 0.0
-            yield layers
+                # a never-led path can only reach +1 from 0, so one cell moves
+                # layers: from index 0 of score +1's pair to index 1
+                row = sets[(played + 1) % 2]
+                row[2 * c + 3] += row[2 * c + 2]
+                row[2 * c + 2] = 0.0
+            yield yielded[(played + 1) % 2]
 
 
 def _log_factorials(n: int) -> np.ndarray:

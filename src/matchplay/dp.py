@@ -357,19 +357,23 @@ def gain_curve(spec: MatchSpec, n_max: int, policies: Iterable[str] = ("optimal"
 
     Labels: "optimal" (one backward sweep serves all horizons), "cat" and
     "catplus" (exact forward evaluation of the protect-the-lead policies),
-    "off" and "def" (fixed styles via convolution); a bare string is one
-    label. The "off" and "def" gains depend on ``n_max`` in their last bit,
-    as ``analytic.fixed_style_gain_curve`` sums each stage over the full
-    width 2 * n_max + 1: they can differ by an ulp from per-horizon
-    evaluation, which the "cat" and "catplus" gains equal bit for bit.
-    Value-only memory, so every route is held to
+    "off" and "def" (fixed styles via convolution); a bare string, bytes or
+    bytearray is one label. Each route is one pass for every horizon: "cat"
+    and "catplus" share one walk of the (never led, has led) pair, whose
+    layers are interleaved by score so one stencil call steps both, and
+    "off" and "def" take one single-layer walk each (see ``analytic.walk``
+    for the layout and its +0 invariant). The "off" and "def" gains depend
+    on ``n_max`` in their last bit, as ``analytic.fixed_style_gain_curve``
+    sums each stage over the full width 2 * n_max + 1: they can differ by an
+    ulp from per-horizon evaluation, which the "cat" and "catplus" gains
+    equal bit for bit. Value-only memory, so every route is held to
     ``analytic.DEFAULT_VALUE_HORIZON_BUDGET``, 100,000 stages, read at call
     time.
     """
     require_instance(spec, MatchSpec)
     n = require_horizon(n_max, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
-    # a bare string, None or another non-iterable is one label
-    single = isinstance(policies, str) or not isinstance(policies, Iterable)
+    # a bare string or bytes, None or another non-iterable is one label
+    single = isinstance(policies, (str, bytes, bytearray)) or not isinstance(policies, Iterable)
     labels = [policies] if single else list(policies)
     if not labels:
         raise InvalidPolicy(f"no policy labels given; choose from {POLICY_LABELS}")

@@ -19,26 +19,32 @@ Evaluation is exact: the joint distribution of (score, led yet) is propagated
 forward one game at a time, which costs O(N^2) and no sampling error. Every
 exact forward pass, here and in ``analytic``'s fixed-style convolution, is
 one walk, ``analytic.walk``, through the stencil the Bellman sweep also
-uses, ``analytic.stencil``, in gather form over views the walk makes once
-per block of stages and into rows it reuses, so a stage allocates nothing
-but a masked row's coefficients. A policy enters the walk as the
-coefficients of the style its offense mask picks for each cell: 0-d for a
-row that plays one style, else one row per outcome, which the walk copies
-into coefficient rows read through the same block of views. The trinomial
-sum in ``analytic`` shares no code with the walk and serves as the
-independent check. Every gain is ``analytic.sign_expectation``'s two sums
-of a distribution, clamped, and so lies in [-1, 1].
+uses, ``analytic.stencil``. The walk interleaves a policy's two layers
+(never led, has led) by score in one row per parity, so one stencil call
+steps both, in gather form over views the walk makes once per block of
+stages and into rows it reuses; a stage allocates nothing but a masked
+row's coefficients. A policy enters the walk as the coefficients of the
+style its offense mask picks for each cell: 0-d for a row that plays one
+style, which the walk keeps in that layer's coefficient slots until the
+layer's style changes, else one row per outcome, which the walk writes over
+the layer's band. Outside the band the mass is +0 and every coefficient
+finite and at least +0, so the bits are those of stepping each layer's band
+alone. The trinomial sum in ``analytic`` shares no code with the walk and
+serves as the independent check. Every gain is
+``analytic.sign_expectation``'s two sums of a distribution, clamped, and so
+lies in [-1, 1].
 
 The protect-the-lead curves for all horizons come from one walk under the
 plain rule, which needs no mask: the never-led layer plays offense and the
-led layer defense. The refined rule changes only a level last game, so its
-curve takes the same walk's mass and recomputes the three cells around
-score 0 at each stage, in Python floats from each layer's five cells near
-0. Each stage's sums are taken directly into the curves, with no per-call
-guard, and both curves are clamped once at the end; the tests pin both
-curves bit for bit against evaluating each horizon on its own. A separate
-brute-force oracle enumerates every stage-and-score policy with integer
-arithmetic for tiny horizons and anchors the solver tests.
+led layer defense, each written into its slots once. The refined rule
+changes only a level last game, so its curve takes the same walk's mass and
+recomputes the three cells around score 0 at each stage, in Python floats
+from each layer's five cells near 0. Each stage's sums are taken directly
+into the curves, with no per-call guard, and both curves are clamped once at
+the end; the tests pin both curves bit for bit against evaluating each
+horizon on its own. A separate brute-force oracle enumerates every
+stage-and-score policy with integer arithmetic for tiny horizons and anchors
+the solver tests.
 """
 
 from __future__ import annotations
@@ -314,7 +320,8 @@ def exact_policy_gain(spec: MatchSpec, policy, n_games: int) -> float:
 
     Exact forward propagation, O(N^2) time and O(N) memory. Policies that
     condition on having led carry a two-layer distribution (never led / has
-    led); flag-blind policies use a single layer.
+    led), both layers stepped by one stencil call a stage; flag-blind
+    policies use a single layer.
     """
     require_instance(spec, MatchSpec)
     n = require_horizon(n_games, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
@@ -386,7 +393,8 @@ def lead_policy_curves(spec: MatchSpec, n_max: int) -> tuple[np.ndarray, np.ndar
     and +1. Those three cells are recomputed from the stage-s mass; no second
     pass runs.
 
-    Each stage's band mass goes into one preallocated row, and its gains are
+    Each stage adds its two layers, strided views of the walk's interleaved
+    row, into one preallocated contiguous row, and its gains are
     ``sign_expectation``'s two sums, taken directly: the band is exactly the
     horizon's whole row, so the sums have the per-horizon lengths and bits.
     Both curves are clamped to [-1, 1] once at the end, which gives the

@@ -444,13 +444,22 @@ class TestGainCurve:
             gain_curve(chess, 4, ("optimal", "greedy"))
 
     @pytest.mark.parametrize(
-        "labels", [("optimal", "greedy"), "greedy", None, 42, [["optimal"]], [{"cat"}]]
+        "labels",
+        [("optimal", "greedy"), "greedy", None, 42, [["optimal"]], [{"cat"}], b"off", b""],
     )
     def test_bad_labels_raise_a_library_error(self, chess, labels):
         with pytest.raises(InvalidPolicy) as info:
             gain_curve(chess, 4, labels)
         assert isinstance(info.value, MatchPlayError)
         assert all(label in str(info.value) for label in POLICY_LABELS)
+
+    @pytest.mark.parametrize("labels", [b"off", b"", bytearray(b"off")])
+    def test_bytes_are_one_label(self, chess, labels):
+        # as a str is: iterating b"off" would report the labels [111, 102, 102],
+        # and b"" would report that no label was given
+        with pytest.raises(InvalidPolicy) as info:
+            gain_curve(chess, 4, labels)
+        assert f"unknown policy labels [{labels!r}]" in str(info.value)
 
     @pytest.mark.parametrize("labels", [[], ()])
     def test_no_labels_rejected_with_the_accepted_ones(self, chess, labels):

@@ -30,6 +30,7 @@ from matchplay import (
     exact_policy_gain,
     fixed_style_gain,
     fixed_style_gain_curve,
+    gain_curve,
     lead_policy_curves,
     propagate_policy,
     score_distribution,
@@ -37,8 +38,11 @@ from matchplay import (
     solve,
     table_policy,
 )
+from matchplay.analytic import _BLOCK_STAGES as BLOCK
+from matchplay.analytic import walk
 from matchplay.dp import _bellman_sweep
-from matchplay.policies import as_policy
+from matchplay.policies import Policy, as_policy
+from matchplay.policies import _coefficients as policy_coefficients
 from matchplay.sim import _final_signs
 
 from conftest import (
@@ -52,6 +56,8 @@ from conftest import (
 
 EXACT_TOL = 1e-12
 FORMULA_TOL = 1e-10
+
+FORWARD_LABELS = ("cat", "catplus", "off", "def")
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -224,6 +230,70 @@ def test_lead_curves_match_per_horizon_evaluation_bit_for_bit(spec, n):
         curves = lead_policy_curves(spec, n_max)
         assert curves[0].tobytes() == np.array(cat[:n_max]).tobytes()
         assert curves[1].tobytes() == np.array(catplus[:n_max]).tobytes()
+
+
+class _LayerRules(Policy):
+    """A policy that plays its own rule in each layer of the lead flag.
+
+    A rule maps (games remaining, scores) to a plain bool, one style for the
+    row, or to an offense mask, per-cell styles.
+    """
+
+    def __init__(self, not_led, led):
+        self.rules = not_led, led
+
+    def decide_row(self, games_remaining, scores, has_led):
+        return self.rules[has_led](games_remaining, scores)
+
+
+@st.composite
+def layer_rules(draw, spec, n):
+    """One layer's rule: a fixed style, a solved table's per-cell masks, the
+    refined rule of either layer (one style, and a mask at its last stage),
+    styles that switch at drawn stages, or one style with masks at drawn
+    stages."""
+    kind = draw(st.sampled_from(("off", "def", "table", "refined", "switch", "masks")))
+    if kind in ("off", "def"):
+        return lambda k, scores, offense=kind == "off": offense
+    if kind == "table":
+        table = solve(spec, n).policy
+        return table.offense_mask
+    if kind == "refined":
+        refined, led = cat_plus_policy(spec), draw(st.booleans())
+        return lambda k, scores: refined.decide_row(k, scores, led)
+    if kind == "switch":
+        # the style changes at every drawn stage, so the layer's slots are rewritten
+        stages = draw(st.sets(st.integers(1, n), max_size=4))
+        return lambda k, scores: sum(k >= stage for stage in stages) % 2 == 0
+    # a style held before a mask is written again after it
+    stages = draw(st.sets(st.integers(1, n), min_size=1, max_size=4))
+    return lambda k, scores: scores >= 0 if k in stages else True
+
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(data=st.data(), spec=specs(), n=st.integers(BLOCK + 1, 3 * BLOCK + 1))
+def test_interleaved_walk_equals_each_layer_stepped_alone(data, spec, n):
+    # the walk steps its layers interleaved by score in one stencil call per
+    # stage; the reference steps each layer alone on fresh rows. Horizons
+    # cross one to three edges of the blocks of views
+    for flagged in (True, False):
+        rules = [data.draw(layer_rules(spec, n)) for _ in range(2)]
+        policy = _LayerRules(*rules)
+        want = reference_stages(spec, policy, n, flagged)
+        stages = walk(n, policy_coefficients(spec, policy), flagged)
+        for played, layers in enumerate(stages):
+            assert np.stack(layers).tobytes() == want[played].tobytes(), (flagged, played)
+        assert played == n
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(spec=specs(), n=st.integers(1, 3 * BLOCK + 1))
+def test_forward_labels_together_equal_each_label_alone(spec, n):
+    together = gain_curve(spec, n, FORWARD_LABELS).gains
+    assert list(together) == list(FORWARD_LABELS)
+    for label in FORWARD_LABELS:
+        assert together[label].tobytes() == gain_curve(spec, n, label).gains[label].tobytes()
 
 
 @settings(PROPERTY_SETTINGS, max_examples=40)

@@ -85,6 +85,14 @@ PINS = (
         "tuple(map(sha256, policies.lead_policy_curves(GRID4, 2000)))",
         ("9890cadaaf8404bc6c9fdbe7cf652cf10f8623ee53f1bc7a88a6e07e170da216",
          "5e20ab84d7be0d8a679835d8483fa41854dd5e0f525210cb80aadeed8b4a892f")),
+    # every forward label of gain_curve at once, in the order POLICY_LABELS
+    # gives them; the first two digests are those of the row above
+    Pin("forward curves SPEC_GRID[4] N=2000",
+        "tuple(map(sha256, dp.gain_curve(GRID4, 2000, ('cat', 'catplus', 'off', 'def')).gains.values()))",
+        ("9890cadaaf8404bc6c9fdbe7cf652cf10f8623ee53f1bc7a88a6e07e170da216",
+         "5e20ab84d7be0d8a679835d8483fa41854dd5e0f525210cb80aadeed8b4a892f",
+         "298cb25a8d4284e98fcbe394afa97e5998b7756aa4230c1fe70bbf629d2f88f8",
+         "f85f2c34eb2843d2aa5951ee6e8e76985655b2e3ae2cbdd76bdfd654ecf19997")),
     # a solved table gives every stage per-cell coefficients; tier-1 pins those
     # stages against the allocating reference only up to N = 97. The values are
     # those of per-cell stages stepping their exact band on their own views
