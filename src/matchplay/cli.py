@@ -1,7 +1,11 @@
 """Command-line interface: classify, curves, horizon search, limits, MC, verify.
 
-Every command reads a match spec from six probability flags, computes with
-the library, and emits a small table as CSV (default) or JSON. Output is
+Every subcommand is one handler ``(spec, args) -> (rows, columns)``, listed in
+``_COMMANDS``: it computes with the library and returns a small table. ``main``
+alone builds the spec from the six probability flags, calls the handler, emits
+the table as CSV (default) or JSON, and returns the exit code. ``verify`` is
+the one handler whose spec is optional: it prints one line per check, its
+table goes only to ``--out``, and a failed check exits 4. Output is
 byte-stable for identical inputs: floats are rendered with 17 significant
 digits, line endings are LF, and no locale-dependent formatting is used.
 
@@ -91,87 +95,70 @@ def _out_path(value: str) -> str:
     return value
 
 
-def _spec_from_args(args) -> MatchSpec:
-    return MatchSpec.from_probs(args.pw, args.pd, args.pl, args.qw, args.qd, args.ql)
+def _spec_from_args(args) -> MatchSpec | None:
+    """The spec of the six probability flags, or None when none is given, as verify allows."""
+    missing = sorted(flag for flag in _SPEC_FLAGS if getattr(args, flag) is None)
+    if len(missing) == len(_SPEC_FLAGS):
+        return None
+    if missing:
+        raise MatchPlayError(f"a spec needs all six probabilities; missing {missing}")
+    return MatchSpec.from_probs(*(getattr(args, flag) for flag in _SPEC_FLAGS))
 
 
-def _policy_from_label(label: str, spec: MatchSpec, horizon: int):
-    from . import dp, policies
-
-    if label == "optimal":
-        return policies.table_policy(dp.solve(spec, horizon).policy)
-    if label == "cat":
-        return policies.cat_policy()
-    if label == "catplus":
-        return policies.cat_plus_policy(spec)
-    return policies.fixed_policy("Off" if label == "off" else "Def")
-
-
-def _cmd_classify(args) -> int:
-    spec = _spec_from_args(args)
+def _classify(spec, args):
     row = asdict(spec.classification)
     row.update(g1_off=spec.offense.drift, g1_def=spec.defense.drift)
-    _emit([row], _CLASSIFY_COLUMNS, args)
-    return EXIT_OK
+    return [row], _CLASSIFY_COLUMNS
 
 
-def _cmd_curve(args) -> int:
+def _curve(spec, args):
     from . import dp
 
-    spec = _spec_from_args(args)
     curve = dp.gain_curve(spec, args.n_max, POLICY_LABELS)
     gains = [curve.gains[label].tolist() for label in _CURVE_LABELS.values()]
     rows = [dict(zip(_CURVE_COLUMNS, row)) for row in zip(curve.horizons.tolist(), *gains)]
-    _emit(rows, _CURVE_COLUMNS, args)
-    return EXIT_OK
+    return rows, _CURVE_COLUMNS
 
 
-def _cmd_nstar(args) -> int:
+def _nstar(spec, args):
     from . import dp
 
-    spec = _spec_from_args(args)
     best = dp.find_optimal_horizon(spec, args.n_max)
-    _emit([{"n_star": best.horizon, "gain": best.gain}], ("n_star", "gain"), args)
-    return EXIT_OK
+    return [{"n_star": best.horizon, "gain": best.gain}], ("n_star", "gain")
 
 
-def _cmd_limits(args) -> int:
-    spec = _spec_from_args(args)
+def _limits(spec, args):
     verdict = optimal_limit(spec)
     row = {
         "regime": verdict.regime.value,
         "optimal_limit": verdict.optimal_limit,
         "cat_limit": verdict.cat_limit,
     }
-    _emit([row], ("regime", "optimal_limit", "cat_limit"), args)
-    return EXIT_OK
+    return [row], tuple(row)
 
 
-def _cmd_simulate(args) -> int:
-    from . import sim
+def _simulate(spec, args):
+    from . import dp, policies, sim
 
-    spec = _spec_from_args(args)
-    policy = _policy_from_label(args.policy, spec, args.horizon)
+    # estimate_gain reads a solved table, or a style's name ("off", "def"), as a policy
+    policy = args.policy
+    if policy == "optimal":
+        policy = dp.solve(spec, args.horizon).policy
+    elif policy == "cat":
+        policy = policies.cat_policy()
+    elif policy == "catplus":
+        policy = policies.cat_plus_policy(spec)
     estimate = sim.estimate_gain(spec, policy, args.horizon, args.samples, args.seed)
-    _emit([estimate._asdict()], sim.SimEstimate._fields, args)
-    return EXIT_OK
+    return [estimate._asdict()], sim.SimEstimate._fields
 
 
-def _cmd_verify(args) -> int:
+def _verify(spec, args):
     from . import verify
 
-    given = [flag for flag in _SPEC_FLAGS if getattr(args, flag) is not None]
-    if given and len(given) < len(_SPEC_FLAGS):
-        missing = sorted(set(_SPEC_FLAGS) - set(given))
-        print(f"error: a spec needs all six probabilities; missing {missing}", file=sys.stderr)
-        return EXIT_INPUT
-    user_spec = _spec_from_args(args) if given else None
-    checks = verify.run_checks(user_spec=user_spec, seed=args.seed)
+    checks = verify.run_checks(user_spec=spec, seed=args.seed)
     for check in checks:
         print(check.line())
-    if args.out:
-        _emit([asdict(c) for c in checks], tuple(f.name for f in fields(verify.Check)), args)
-    return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY
+    return [asdict(c) for c in checks], tuple(f.name for f in fields(verify.Check))
 
 
 _N_MAX = ("--n-max", {"type": int, "required": True})
@@ -179,14 +166,14 @@ _SEED = ("--seed", {"type": int, "default": 0})
 
 # name, help, handler, and the flags it takes besides the spec and output ones
 _COMMANDS = (
-    ("classify", "regime flags and one-game gains of a spec", _cmd_classify, ()),
-    ("curve", "per-horizon gains of the optimal and benchmark policies", _cmd_curve, (_N_MAX,)),
-    ("nstar", "horizon with the largest optimal gain", _cmd_nstar, (_N_MAX,)),
-    ("limits", "long-match limits for the spec's regime", _cmd_limits, ()),
+    ("classify", "regime flags and one-game gains of a spec", _classify, ()),
+    ("curve", "per-horizon gains of the optimal and benchmark policies", _curve, (_N_MAX,)),
+    ("nstar", "horizon with the largest optimal gain", _nstar, (_N_MAX,)),
+    ("limits", "long-match limits for the spec's regime", _limits, ()),
     (
         "simulate",
         "Monte Carlo gain estimate for a policy",
-        _cmd_simulate,
+        _simulate,
         (
             ("--horizon", {"type": int, "required": True}),
             ("--samples", {"type": int, "default": 100_000}),
@@ -194,7 +181,7 @@ _COMMANDS = (
             ("--policy", {"choices": POLICY_LABELS, "default": "optimal"}),
         ),
     ),
-    ("verify", "run the built-in verification checklist", _cmd_verify, (_SEED,)),
+    ("verify", "run the built-in verification checklist", _verify, (_SEED,)),
 )
 
 
@@ -224,13 +211,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        rows, columns = args.handler(_spec_from_args(args), args)
     except HorizonTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except MatchPlayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    checklist = args.command == "verify"
+    if args.out or not checklist:  # verify prints its own lines; its table goes only to --out
+        _emit(rows, columns, args)
+    return EXIT_VERIFY if checklist and not all(row["passed"] for row in rows) else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -372,9 +372,9 @@ def gain_curve(spec: MatchSpec, n_max: int, policies: Iterable[str] = ("optimal"
     """
     require_instance(spec, MatchSpec)
     n = require_horizon(n_max, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
-    # a bare string or bytes, None or another non-iterable is one label
+    # a bare string or bytes, a 0-d array, None or another non-iterable is one label
     single = isinstance(policies, (str, bytes, bytearray)) or not isinstance(policies, Iterable)
-    labels = [policies] if single else list(policies)
+    labels = [policies] if single or getattr(policies, "ndim", None) == 0 else list(policies)
     if not labels:
         raise InvalidPolicy(f"no policy labels given; choose from {POLICY_LABELS}")
     # a label that is not a string, a list say, is unknown, not a TypeError

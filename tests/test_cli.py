@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import matchplay.policies
-from matchplay import analytic, estimate_gain, find_optimal_horizon
+from matchplay import analytic, estimate_gain, find_optimal_horizon, solve
+from matchplay.core import POLICY_LABELS
 from matchplay.cli import main
 
 from conftest import CHESS_PROBS, CURVE_PEAK4_PROBS, CURVE_PEAK6_PROBS, fresh_python
@@ -37,9 +38,16 @@ SURE_DRAW_PROBS = (0.45, 0.0, 0.55, 0.0, 1.0, 0.0)
 _GOLDEN_COMMANDS = {
     "classify_chess.csv": ["classify", *spec_flags(CHESS_PROBS)],
     "classify_chess.json": ["classify", *spec_flags(CHESS_PROBS), "--format", "json"],
+    "curve_peak4.json": [
+        "curve", *spec_flags(CURVE_PEAK4_PROBS), "--n-max", "20", "--format", "json",
+    ],
     "limits_both_strictly_losing.csv": ["limits", *spec_flags(CHESS_PROBS)],
     "limits_fair_non_safe.csv": ["limits", *spec_flags(FAIR_NON_SAFE_PROBS)],
     "limits_safe_defense.csv": ["limits", *spec_flags(SURE_DRAW_PROBS)],
+    "nstar_peak4.csv": ["nstar", *spec_flags(CURVE_PEAK4_PROBS), "--n-max", "20"],
+    "nstar_peak4.json": [
+        "nstar", *spec_flags(CURVE_PEAK4_PROBS), "--n-max", "20", "--format", "json",
+    ],
     "simulate_chess_cat.csv": [
         "simulate", *spec_flags(CHESS_PROBS),
         "--policy", "cat", "--horizon", "6", "--samples", "5000", "--seed", "7",
@@ -182,6 +190,29 @@ class TestSimulate:
         assert float(cells[0]) == est.mean
         assert float(cells[1]) == est.std_error
         assert cells[2:] == ["5000", "7"]
+
+    def test_each_policy_label_runs_the_library_policy(self, capsys, chess):
+        library = {
+            "optimal": matchplay.policies.table_policy(solve(chess, 5).policy),
+            "cat": matchplay.policies.cat_policy(),
+            "catplus": matchplay.policies.cat_plus_policy(chess),
+            "off": matchplay.policies.fixed_policy("Off"),
+            "def": matchplay.policies.fixed_policy("Def"),
+        }
+        assert sorted(library) == sorted(POLICY_LABELS)
+        means = set()
+        for label, policy in library.items():
+            code, out, _ = run(
+                capsys, "simulate", *spec_flags(CHESS_PROBS),
+                "--policy", label, "--horizon", "5", "--samples", "4000", "--seed", "3",
+            )
+            est = estimate_gain(chess, policy, 5, 4000, seed=3)
+            assert code == 0
+            row = f"{est.mean:.17g},{est.std_error:.17g},4000,3"
+            assert out == f"mean,std_error,samples,seed\n{row}\n"
+            means.add(est.mean)
+        # at this horizon and seed no two policies give the same estimate
+        assert len(means) == len(library)
 
     def test_nan_error_becomes_null_in_json(self, capsys):
         code, out, _ = run(

@@ -445,7 +445,10 @@ class TestGainCurve:
 
     @pytest.mark.parametrize(
         "labels",
-        [("optimal", "greedy"), "greedy", None, 42, [["optimal"]], [{"cat"}], b"off", b""],
+        [
+            ("optimal", "greedy"), "greedy", None, 42, [["optimal"]], [{"cat"}], b"off", b"",
+            np.array(3), np.array("off"),
+        ],
     )
     def test_bad_labels_raise_a_library_error(self, chess, labels):
         with pytest.raises(InvalidPolicy) as info:
