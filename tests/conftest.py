@@ -1,7 +1,7 @@
 """Shared fixtures: reference match specs, three reference Bellman sweeps
-and the full-band rows of a solved table, an allocating forward stencil and
-the walk through it, a one-sample-at-a-time Monte Carlo replay, and a
-fresh-interpreter runner."""
+and the full-band rows of a solved table, numpy's pairwise sum in Python
+floats, an allocating forward stencil and the walk through it, a
+one-sample-at-a-time Monte Carlo replay, and a fresh-interpreter runner."""
 
 from __future__ import annotations
 
@@ -160,6 +160,31 @@ def exact_bellman_gains(spec: MatchSpec, n_max: int) -> list[Fraction]:
         scale *= _ORACLE_SCALE
         gains.append(Fraction(row[0], scale))
     return gains
+
+
+def pairwise_sum(values: list) -> float:
+    """numpy's float64 pairwise sum of ``values``, a list of Python floats.
+
+    Below 8 values, one running sum. Up to 128, eight accumulators, the j-th
+    taking every eighth value from j, combined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), then the values past the last multiple of 8 one
+    by one. Above 128, the sums of two halves split at n // 2 rounded down to
+    a multiple of 8. Every bit pin on ``np.add.reduce`` rests on this model.
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+    total, rest = 0.0, values
+    if n >= 8:
+        acc = values[:8]
+        for i in range(8, n - n % 8, 8):
+            acc = [a + v for a, v in zip(acc, values[i : i + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        rest = values[n - n % 8 :]
+    for value in rest:
+        total += value
+    return total
 
 
 def reference_step(mass: np.ndarray, games_played: int, w, d, l) -> np.ndarray:

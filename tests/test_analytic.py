@@ -259,6 +259,12 @@ class TestConvolutionRoute:
         mass = score_distribution(style, n)
         pos = float(mass[n + 1 :].sum())
         assert fixed_style_positive_prob(style, n) == pytest.approx(pos, abs=FORMULA_TOL)
+        # a positive tail of 6.6e-20, far below any absolute tolerance: the
+        # closed form must keep its relative accuracy where the tail decays.
+        # abs=0, as approx would otherwise also pass anything within 1e-12
+        decaying = make_distribution(0.4, 0.0, 0.6)
+        tail = float(score_distribution(decaying, n)[n + 1 :].sum())
+        assert fixed_style_positive_prob(decaying, n) == pytest.approx(tail, rel=1e-9, abs=0)
 
     def test_curve_matches_per_horizon_gain(self):
         style = make_distribution(0.2, 0.3, 0.5)
