@@ -11,16 +11,18 @@ One kernel, ``stencil``, computes the one-game expectation
 sweep in ``dp`` applies it backward, to the values one score up, level and
 one score down, and ``walk``, the package's one forward loop, applies it
 forward, to the mass one score down, level and one score up. The walk's
-caller chooses each stage's coefficients: the fixed styles here pass
-constants, and every policy evaluation in ``policies`` runs through the same
-walk. A walk's layers (one, or the never-led and has-led pair) are
-interleaved by score in one row per parity, so one stencil call steps them
-all, through row views made once per block of stages, up to
-``_BLOCK_STAGES - 1`` cells wider than its band on each side, with the
-coefficients read from rows interleaved the same way (a lone layer in one
-style passes its scalars instead). Outside the band the mass is exact +0
-and every coefficient finite and at least +0, so those cells stay +0 and
-the bits are those of stepping each layer's band alone.
+caller passes two styles and an offense rule, ``policies.offense_row``'s
+contract: one bool for a stage's band, or a bool mask over it. The fixed
+styles here pass their style as both and a rule that is always True, and
+every policy evaluation in ``policies`` passes the policy's offense rule;
+the walk picks each cell's coefficients. A walk's layers (one, or the
+never-led and has-led pair) are interleaved by score in one row per
+parity, so one stencil call steps them all, through row views made once
+per block of stages, up to ``_BLOCK_STAGES - 1`` cells wider than its band
+on each side, with the coefficients read from rows interleaved the same way
+(a lone layer in one style passes its scalars instead). Outside the band
+the mass is exact +0 and every coefficient finite and at least +0, so those
+cells stay +0 and the bits are those of stepping each layer's band alone.
 
 ``fixed_style_gain_curve`` reads each stage's gain as ``sign_expectation``
 does, with the same bits, but sums the stages in blocks of rows, a few numpy
@@ -144,17 +146,18 @@ def style_coefficients(style: StyleDistribution) -> tuple:
     return tuple(map(np.array, (style.win, style.draw, style.loss)))
 
 
-def walk(n: int, coefficients, flagged: bool = False):
+def walk(n: int, offense: StyleDistribution, defense: StyleDistribution, rule, flagged=False):
     """Yield the mass layers after 0..n games of an ``n``-game match.
 
-    ``coefficients(games_remaining, band, has_led)`` returns the (win, draw,
-    loss) of the scores ``band`` reachable at that stage in the layer that
-    ``has_led`` names: either a tuple of three 0-d arrays (one style for the
-    whole band, as ``style_coefficients`` makes them) or one (3, len(band))
-    array, a row per outcome. With ``flagged`` the layers are (never led,
-    has led), and a path moves to the second layer the first time its score
-    turns positive; otherwise a single layer carries all the mass and
-    ``has_led`` is False. Layers have width 2n + 1 and are centred at n.
+    ``rule(games_remaining, band, has_led)`` is the offense rule over the
+    scores ``band`` reachable at that stage in the layer that ``has_led``
+    names, as ``policies.offense_row`` returns it: one plain ``bool`` for a
+    band that plays ``offense`` (True) or ``defense`` (False) throughout, or
+    a bool mask of the band's shape, a style per cell. ``band`` is a view of
+    a read-only row. With ``flagged`` the layers are (never led, has led),
+    and a path moves to the second layer the first time its score turns
+    positive; otherwise a single layer carries all the mass and ``has_led``
+    is False. Layers have width 2n + 1 and are centred at n.
 
     The yielded layers are views of rows the walk reuses, strided when there
     are two: a stage's rows are overwritten two stages later, so a caller
@@ -170,12 +173,12 @@ def walk(n: int, coefficients, flagged: bool = False):
     of it. The coefficients lie in three rows interleaved the same way, at
     their source cells, and the stencil reads them through the block's views
     of those rows: the win row one score down, the draw row level, the loss
-    row one score up. A layer played in one style keeps that style's (win,
-    draw, loss) in all its slots and rewrites them only when it is handed a
-    tuple other than the one they hold; a per-cell array is written over the
-    layer's band alone. A lone layer in one style passes its 0-d
-    coefficients to the stencil instead, which multiply faster than a row
-    once the band spans thousands of cells, with the same bits.
+    row one score up. A layer whose row is one bool keeps that style's (win,
+    draw, loss) in all its slots and rewrites them only when its style
+    changes; a mask writes each cell's style over the layer's band alone. A
+    lone layer in one style passes its 0-d coefficients to the stencil
+    instead, which multiply faster than a row once the band spans thousands
+    of cells, with the same bits.
 
     The invariant is +0 mass outside a stage's band (the rows start at zero
     and the bands only grow) and finite coefficients of at least +0
@@ -186,15 +189,19 @@ def walk(n: int, coefficients, flagged: bool = False):
     stepping each layer's band alone, and keeps the invariant.
     """
     scores = np.arange(-n, n + 1)
+    scores.flags.writeable = False
     count, c = 1 + flagged, n + 1
     layers = tuple(enumerate((False, True)[:count]))
+    off, dfn = style_coefficients(offense), style_coefficients(defense)
+    # each style's (win, draw, loss) as a column, so one np.where picks all three
+    off_col, dfn_col = np.array([off, dfn]).reshape(2, 3, 1)
     # two mass rows, which swap roles every stage, and a scratch row; the
     # yielded views of each layer are made once
     *sets, tmp = np.zeros((3, (2 * n + 3) * count))
     yielded = [[row[count + i : (2 * n + 2) * count : count] for i, _ in layers] for row in sets]
     cells = np.zeros((3, (2 * n + 3) * count))  # win, draw and loss at their source cells
     slots = [cells[:, i::count] for i, _ in layers]
-    held = [None] * count  # the tuple whose values fill each layer's slots
+    held = [None] * count  # the bool whose style fills each layer's slots, None after a mask
     sets[0][c * count] = 1.0
     yield yielded[0]
     for first in range(0, n, _BLOCK_STAGES):
@@ -208,15 +215,14 @@ def walk(n: int, coefficients, flagged: bool = False):
         for played in range(first, t):
             remaining, band = n - played, scores[n - played : n + played + 1]
             for i, led in layers:
-                coefs = coefficients(remaining, band, led)
-                if type(coefs) is not tuple:
-                    slots[i][:, c - played : c + played + 1] = coefs
+                attack = rule(remaining, band, led)
+                if type(attack) is not bool:
+                    slots[i][:, c - played : c + played + 1] = np.where(attack, off_col, dfn_col)
                     held[i] = None
-                elif coefs is not held[i]:
-                    slots[i][...] = np.reshape(coefs, (3, 1))
-                    held[i] = coefs
-            if flagged or type(coefs) is not tuple:
-                coefs = rows
+                elif attack != held[i]:
+                    slots[i][...] = off_col if attack else dfn_col
+                    held[i] = attack
+            coefs = rows if flagged or held[0] is None else (off if held[0] else dfn)
             win_from, stay_from, loss_from, out = block[played % 2]
             stencil(win_from, stay_from, loss_from, *coefs, out, flow)
             if flagged:
@@ -317,8 +323,7 @@ def score_distribution(style: StyleDistribution, n_games: int) -> np.ndarray:
     """
     require_instance(style, StyleDistribution)
     n = require_horizon(n_games, DEFAULT_VALUE_HORIZON_BUDGET)
-    coefficients = style_coefficients(style)
-    for (mass,) in walk(n, lambda *_: coefficients):
+    for (mass,) in walk(n, style, style, lambda *_: True):
         pass
     # the walk reuses its rows; a copy owns its memory
     return mass.copy()
@@ -342,8 +347,7 @@ def fixed_style_gain_curve(style: StyleDistribution, n_max: int) -> np.ndarray:
     """
     require_instance(style, StyleDistribution)
     n = require_horizon(n_max, DEFAULT_VALUE_HORIZON_BUDGET)
-    coefficients = style_coefficients(style)
-    stages = walk(n, lambda *_: coefficients)
+    stages = walk(n, style, style, lambda *_: True)
     next(stages)  # the start, before any game
     gains = np.empty(n)
     rows = min(n, max(1, _SIGN_BLOCK_BYTES // (8 * (2 * n + 1))))

@@ -6,14 +6,18 @@ protect-the-lead rule attacks until it first leads and then sits on the lead,
 so its state is exactly "have I led yet".
 
 A policy's single primitive is ``decide_row``, the offense mask over a row
-of scores; the scalar ``decide`` is derived from it and raises
-``InvalidState`` unless the stage is a positive integer, the score an
-integer and the flag a bool, before any rule or callable reads them. A row
-that plays one style throughout may be returned as one plain ``bool``
-instead of a mask: the fixed styles and the plain protect-the-lead rule do
-so at every stage, and the refined rule at every stage but the last. The
-evaluators then pick that style's coefficients or thresholds once for the
-whole row.
+of scores, and every engine reads it through ``offense_row``, which checks
+the mask: the exact walk, the Monte Carlo rounds and the scalar ``decide``.
+``decide`` raises ``InvalidState`` unless the stage is a positive integer,
+the score an integer and the flag a bool, before any rule or callable reads
+them. A row that plays one style throughout may be returned as one plain
+``bool`` instead of a mask: the fixed styles and the plain protect-the-lead
+rule do so at every stage, and the refined rule at every stage but the
+last. The evaluators then pick that style's coefficients or thresholds once
+for the whole row. The row a policy reads is read-only in every engine, so
+a policy cannot write the walk's scores or the live Monte Carlo ones, and
+``as_policy``, which every engine calls, refuses a ``uses_lead_flag`` that
+is not a bool.
 
 Evaluation is exact: the joint distribution of (score, led yet) is propagated
 forward one game at a time, which costs O(N^2) and no sampling error. Every
@@ -23,32 +27,33 @@ uses, ``analytic.stencil``. The walk interleaves a policy's two layers
 (never led, has led) by score in one row per parity, so one stencil call
 steps both, in gather form over views the walk makes once per block of
 stages and into rows it reuses; a stage allocates nothing but a masked
-row's coefficients. A policy enters the walk as the coefficients of the
-style its offense mask picks for each cell: 0-d for a row that plays one
-style, which the walk keeps in that layer's coefficient slots until the
-layer's style changes, else one row per outcome, which the walk writes over
-the layer's band. Outside the band the mass is +0 and every coefficient
-finite and at least +0, so the bits are those of stepping each layer's band
-alone. The trinomial sum in ``analytic`` shares no code with the walk and
-serves as the independent check. Every gain is
+row's coefficients. A policy enters the walk as its offense rule,
+``offense_row`` bound to the policy, with the spec's two styles: for a row
+returned as one bool the walk keeps that style's coefficients in the
+layer's slots until the bool changes, and for a mask it writes each cell's
+style over the layer's band. Outside the band the mass is +0 and every
+coefficient finite and at least +0, so the bits are those of stepping each
+layer's band alone. The trinomial sum in ``analytic`` shares no code with
+the walk and serves as the independent check. Every gain is
 ``analytic.sign_expectation``'s two sums of a distribution, clamped, and so
 lies in [-1, 1].
 
 The protect-the-lead curves for all horizons come from one walk under the
-plain rule, which needs no mask: the never-led layer plays offense and the
-led layer defense, each written into its slots once. The refined rule
-changes only a level last game, so its curve takes the same walk's mass and
-recomputes the three cells around score 0 at each stage, in Python floats
-from each layer's five cells near 0. Each stage's sums are taken directly
-into the curves, with no per-call guard, and both curves are clamped once at
-the end; the tests pin both curves bit for bit against evaluating each
-horizon on its own. A separate brute-force oracle enumerates every
-stage-and-score policy with integer arithmetic for tiny horizons and anchors
-the solver tests.
+plain rule, ``CatPolicy.decide_row``, which needs no mask: the never-led
+layer plays offense and the led layer defense, each written into its slots
+once. The refined rule changes only a level last game, so its curve takes
+the same walk's mass and recomputes the three cells around score 0 at each
+stage, in Python floats from each layer's five cells near 0. Each stage's
+sums are taken directly into the curves, with no per-call guard, and both
+curves are clamped once at the end; the tests pin both curves bit for bit
+against evaluating each horizon on its own. A separate brute-force oracle
+enumerates every stage-and-score policy with integer arithmetic for tiny
+horizons and anchors the solver tests.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 from dataclasses import dataclass, field
@@ -84,7 +89,10 @@ class Policy:
 
     ``has_led`` records whether the score has ever been positive. Policies
     that ignore it set ``uses_lead_flag`` to False, which lets the evaluator
-    drop the flag from its state.
+    drop the flag from its state. ``uses_lead_flag`` must be a ``bool`` or
+    a numpy bool; ``as_policy``, and so every evaluator, raises
+    ``InvalidPolicy`` for anything else. ``decide_row`` receives a
+    read-only row of scores, and a write to it raises numpy's ``ValueError``.
     """
 
     uses_lead_flag: bool = True
@@ -92,7 +100,7 @@ class Policy:
     def decide_row(
         self, games_remaining: int, scores: np.ndarray, has_led: bool
     ) -> np.ndarray | bool:
-        """Offense mask over a 1-D row of integer scores.
+        """Offense mask over a read-only 1-D row of integer scores.
 
         Either an array of the scores' shape, bool or integer (nonzero is
         offense), or one plain ``bool`` when the whole row plays one style.
@@ -104,7 +112,8 @@ class Policy:
     def decide(self, games_remaining: int, score: int, has_led: bool) -> Action:
         """The style at one state, or ``InvalidState`` for a state ``_decision_point`` refuses."""
         games_remaining, score, has_led = _decision_point(games_remaining, score, has_led)
-        offense = offense_row(self, games_remaining, np.array([score]), has_led)
+        # a read-only one-cell row, as the walk and Monte Carlo hand decide_row
+        offense = offense_row(self, games_remaining, np.broadcast_to(score, (1,)), has_led)
         if type(offense) is not bool:
             offense = offense[0]
         return Action.OFF if offense else Action.DEF
@@ -248,8 +257,14 @@ def table_policy(table: dp.PolicyTable) -> TablePolicy:
 
 
 def as_policy(policy) -> Policy:
-    """Coerce a Policy, action name, policy table, or callable into a Policy."""
+    """Coerce a Policy, action name, policy table, or callable into a Policy.
+
+    A ``Policy`` whose ``uses_lead_flag`` is not a bool or numpy bool raises
+    ``InvalidPolicy``: the walk would lay out ``1 + flag`` layers for it.
+    """
     if isinstance(policy, Policy):
+        if not isinstance(policy.uses_lead_flag, (bool, np.bool_)):
+            raise InvalidPolicy(f"uses_lead_flag must be a bool, got {policy.uses_lead_flag!r}")
         return policy
     if isinstance(policy, dp.PolicyTable):
         return TablePolicy(policy)
@@ -273,6 +288,10 @@ def offense_row(
 ) -> np.ndarray | bool:
     """``policy.decide_row`` as a bool mask or one bool, checked where the library reads it.
 
+    This is the offense rule every engine reads: bound to the policy it is
+    the rule of ``analytic.walk``, and the Monte Carlo rounds and ``decide``
+    call it too.
+
     A plain ``bool`` passes unchecked: the whole row plays that style. A
     custom policy's mask must have the scores' shape and a bool or integer
     dtype (nonzero is offense); anything else raises ``InvalidPolicy``. Only
@@ -294,27 +313,6 @@ def offense_row(
     return mask != 0
 
 
-def _coefficients(spec: MatchSpec, policy: Policy):
-    """The coefficients callback of ``analytic.walk`` under ``policy``.
-
-    Each cell of a band plays the style that the policy's offense mask picks.
-    One style's tuple of 0-d arrays comes only from a row returned as a
-    plain bool; any mask, constant or not, gives one (3, len(band)) array of
-    the cells' win, draw and loss, with the same bits.
-    """
-    off, dfn = map(analytic.style_coefficients, (spec.offense, spec.defense))
-    # each style's (win, draw, loss) as a column, so one np.where picks all three
-    off_column, dfn_column = np.array([*off, *dfn]).reshape(2, 3, 1)
-
-    def coefficients(games_remaining: int, band: np.ndarray, has_led: bool):
-        offense = offense_row(policy, games_remaining, band, has_led)
-        if type(offense) is bool:
-            return off if offense else dfn
-        return np.where(offense, off_column, dfn_column)
-
-    return coefficients
-
-
 def exact_policy_gain(spec: MatchSpec, policy, n_games: int) -> float:
     """Expected final-score sign of ``policy`` over an ``n_games`` match.
 
@@ -326,7 +324,8 @@ def exact_policy_gain(spec: MatchSpec, policy, n_games: int) -> float:
     require_instance(spec, MatchSpec)
     n = require_horizon(n_games, analytic.DEFAULT_VALUE_HORIZON_BUDGET)
     policy = as_policy(policy)
-    for layers in analytic.walk(n, _coefficients(spec, policy), policy.uses_lead_flag):
+    rule = functools.partial(offense_row, policy)
+    for layers in analytic.walk(n, spec.offense, spec.defense, rule, policy.uses_lead_flag):
         pass
     mass = layers[0] + layers[1] if policy.uses_lead_flag else layers[0]
     return analytic.sign_expectation(mass, n)
@@ -378,7 +377,8 @@ def propagate_policy(spec: MatchSpec, policy, n_games: int) -> AugmentedDistribu
     """
     require_instance(spec, MatchSpec)
     n = require_horizon(n_games, DEFAULT_PROPAGATE_HORIZON_BUDGET)
-    walk = analytic.walk(n, _coefficients(spec, as_policy(policy)), flagged=True)
+    rule = functools.partial(offense_row, as_policy(policy))
+    walk = analytic.walk(n, spec.offense, spec.defense, rule, flagged=True)
     stages = [np.stack(layers) for layers in walk]
     return AugmentedDistribution(n, stages)
 
@@ -413,7 +413,7 @@ def lead_policy_curves(spec: MatchSpec, n_max: int) -> tuple[np.ndarray, np.ndar
     # each layer's five cells at scores -2..2; past a layer's ends no mass
     pad = [0.0] * max(0, 2 - n)
     near = slice(n - 2 + len(pad), n + 3 - len(pad))
-    walk = analytic.walk(n, _coefficients(spec, cat_policy()), True)
+    walk = analytic.walk(n, off, dfn, cat_policy().decide_row, True)
     not_led, led = next(walk)
     for played in range(1, n + 1):
         cells = pad + not_led[near].tolist() + pad, pad + led[near].tolist() + pad

@@ -33,7 +33,9 @@ two styles' outcomes with boolean algebra, ``(mask & off) | (def & ~mask)``:
 a comparison or a boolean ``&`` costs a few microseconds on a
 20,000-sample row, where a ``np.where`` on a random mask costs over a
 hundred. A row the policy plays in one style, returned as a plain bool,
-compares the words against that style's two thresholds alone.
+compares the words against that style's two thresholds alone. The policy
+reads the live scores through one read-only view, made once per call, so
+a policy that writes to its row raises rather than moving the samples.
 
 ``simulate_match`` plays sample 0 of these rounds, so one match and
 ``estimate_gain`` follow one outcome rule. Its key is an integer seed in
@@ -145,6 +147,8 @@ def _final_signs(
             f"{samples} samples need {dtype.itemsize * samples} bytes for one {dtype} "
             "score array, more than can be allocated"
         ) from None
+    # the policy reads the live scores through a read-only view of them
+    rows = np.broadcast_to(scores, scores.shape)
     flagged = policy.uses_lead_flag
     bitgen = np.random.Philox(key=seed)
     state = bitgen.state
@@ -155,9 +159,9 @@ def _final_signs(
         has_led = np.zeros(samples, dtype=bool) if flagged else None
         for played in range(n_games):
             remaining = n_games - played
-            offense = offense_row(policy, remaining, scores, False)
+            offense = offense_row(policy, remaining, rows, False)
             if flagged:
-                led = offense_row(policy, remaining, scores, True)
+                led = offense_row(policy, remaining, rows, True)
                 if offense is True and led is False:
                     offense = ~has_led  # the protect-the-lead rule's row
                 elif offense is not led:

@@ -7,6 +7,7 @@ other or against tiny hand-enumerable matches.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb
@@ -39,7 +40,7 @@ from matchplay import (
 )
 from matchplay import analytic
 from matchplay.analytic import stencil
-from matchplay.policies import _coefficients
+from matchplay.policies import offense_row
 from matchplay.verify import CHESS, SPEC_GRID
 
 from conftest import make_spec, reference_step
@@ -202,8 +203,9 @@ class TestStencil:
         spec = make_spec(0.45, -0.0, 0.55, -0.0, 1.0, -0.0)
         table = table_policy(solve(spec, n).policy)
         for policy in (cat_policy(), cat_plus_policy(spec), table):
-            coefficients = _coefficients(spec, policy)
-            for played, layers in enumerate(analytic.walk(n, coefficients, True)):
+            rule = functools.partial(offense_row, policy)
+            walk = analytic.walk(n, spec.offense, spec.defense, rule, True)
+            for played, layers in enumerate(walk):
                 for row in layers:
                     outside = np.r_[row[: n - played], row[n + played + 1 :]]
                     assert outside.tobytes() == bytes(outside.nbytes)

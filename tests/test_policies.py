@@ -283,6 +283,63 @@ class TestCustomMasks:
             assert exact_policy_gain(chess, as_int, 6) == exact_policy_gain(chess, as_bool, 6)
 
 
+class _LeadRule(Policy):
+    """The protect-the-lead rule with a ``uses_lead_flag`` of any value."""
+
+    def __init__(self, uses_lead_flag):
+        self.uses_lead_flag = uses_lead_flag
+
+    def decide_row(self, games_remaining, scores, has_led):
+        return not has_led
+
+
+class _WritingPolicy(Policy):
+    """Offense from a level score or better, and then one added to every score read."""
+
+    def __init__(self, uses_lead_flag):
+        self.uses_lead_flag = uses_lead_flag
+
+    def decide_row(self, games_remaining, scores, has_led):
+        offense = scores >= 0
+        scores += 1
+        return offense
+
+
+class TestPolicyContract:
+    @pytest.mark.parametrize("flag", [2, "yes", None, 1.0], ids=repr)
+    def test_a_lead_flag_that_is_not_a_bool_is_refused(self, chess, flag):
+        # a flag of 2 laid out three walk layers, "yes" and None raised a
+        # TypeError from the walk, and Monte Carlo read None as flag-blind
+        policy = _LeadRule(flag)
+        for call in (
+            lambda: exact_policy_gain(chess, policy, 6),
+            lambda: propagate_policy(chess, policy, 6),
+            lambda: estimate_gain(chess, policy, 6, 4000),
+        ):
+            with pytest.raises(InvalidPolicy, match="uses_lead_flag must be a bool"):
+                call()
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["flag_blind", "flagged"])
+    def test_a_numpy_bool_lead_flag_reads_as_the_bool(self, chess, flag):
+        as_bool, as_numpy = _LeadRule(flag), _LeadRule(np.bool_(flag))
+        assert exact_policy_gain(chess, as_numpy, 6) == exact_policy_gain(chess, as_bool, 6)
+        assert estimate_gain(chess, as_numpy, 6, 500) == estimate_gain(chess, as_bool, 6, 500)
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["flag_blind", "flagged"])
+    def test_a_policy_cannot_write_the_scores_it_reads(self, chess, flag):
+        # writing the walk's shared row or the live Monte Carlo scores gave
+        # wrong gains; the write now raises inside the policy
+        policy = _WritingPolicy(flag)
+        for call in (
+            lambda: exact_policy_gain(chess, policy, 3),
+            lambda: propagate_policy(chess, policy, 3),
+            lambda: estimate_gain(chess, policy, 3, 4000),
+            lambda: policy.decide(3, 0, False),
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                call()
+
+
 class _ChaseRows(Policy):
     """Offense before the first lead for all but the last two games, then other rules.
 

@@ -14,6 +14,7 @@ Examples are derandomized, so every run draws the same specs.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -41,8 +42,7 @@ from matchplay import (
 from matchplay.analytic import _BLOCK_STAGES as BLOCK
 from matchplay.analytic import walk
 from matchplay.dp import _bellman_sweep
-from matchplay.policies import Policy, as_policy
-from matchplay.policies import _coefficients as policy_coefficients
+from matchplay.policies import Policy, as_policy, offense_row
 from matchplay.sim import _final_signs
 
 from conftest import (
@@ -281,7 +281,8 @@ def test_interleaved_walk_equals_each_layer_stepped_alone(data, spec, n):
         rules = [data.draw(layer_rules(spec, n)) for _ in range(2)]
         policy = _LayerRules(*rules)
         want = reference_stages(spec, policy, n, flagged)
-        stages = walk(n, policy_coefficients(spec, policy), flagged)
+        rule = functools.partial(offense_row, policy)
+        stages = walk(n, spec.offense, spec.defense, rule, flagged)
         for played, layers in enumerate(stages):
             assert np.stack(layers).tobytes() == want[played].tobytes(), (flagged, played)
         assert played == n
