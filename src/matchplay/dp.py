@@ -31,6 +31,7 @@ only the window between the frozen runs, with the same bits. The tables that
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -48,6 +49,12 @@ DEFAULT_TABLE_HORIZON_BUDGET = 20_000
 # without the frontier on weak specs (bench/workloads.weak_specs), rescans every
 # 4, 8, 16 or 32 stages ran the same within noise.
 _RESCAN_STAGES = 8
+
+# ``PolicyTable.offense_mask`` reads a row with more in-range flips through a
+# lookup and ``take``. Timed at 20,000 int8 scores on a 2-vCPU Xeon, the
+# comparisons took 13 microseconds at 2 flips and 42 at 13, about 2.6 a flip,
+# and the lookup 44 at any count, so the two meet near 15.
+_MAX_MASK_FLIPS = 14
 
 
 class _Sweep(NamedTuple):
@@ -280,19 +287,57 @@ class PolicyTable:
         bit = self.low_bit if i < 0 else row[i] if i < len(row) else self.high_bit
         return Action.OFF if bit else Action.DEF
 
+    def _flips(self, k: int, band: int) -> list[int]:
+        """The scores x, ascending, where stage k's style differs from that at x - 1.
+
+        The style is defense below the band, ``low_bit`` below the window,
+        the window's bits, ``high_bit`` above the window and defense above
+        the band; a side with no frozen run takes the window's end bit, so
+        it adds no flip.
+        """
+        row, start = self.rows[k - 1], self.starts[k]
+        end = start + len(row)  # one past the window, in band cells
+        first, last = bool(row[0]), bool(row[-1])
+        low = bool(self.low_bit) if start else first
+        high = bool(self.high_bit) if end <= 2 * band else last
+        # window cell i holds the style of score start - band + i
+        inside = (np.flatnonzero(row[1:] != row[:-1]) + (start - band + 1)).tolist()
+        # into the band, onto the window, the window's own, off it, out of the band
+        into = [-band] * low + [start - band] * (low != first)
+        out = [end - band] * (high != last) + [band + 1] * high
+        return into + inside + out
+
     def offense_mask(self, games_remaining: int, scores: np.ndarray) -> np.ndarray:
         """Vectorised ``action(...) is Action.OFF`` over a 1-D array of integer scores.
 
-        One lookup row covers the scores present, [-largest, largest] for the
-        largest |score|, and one ``take`` reads it: four passes over the
-        scores (their max, min, offset and lookup) plus O(largest) work on
-        the row, whatever the width of the band.
+        A solved row is a few runs of one style, so the mask is read from the
+        flips in (min, max] of the scores: ``(scores >= f1) ^ (scores >= f2)
+        ^ ...``, negated when the style at the smallest score is offense. That
+        is three passes over the scores (their max, min and first comparison)
+        plus two a further flip, and O(window) work on the row. A row with
+        more than ``_MAX_MASK_FLIPS`` flips in range is read through one
+        lookup row over [-largest, largest] for the largest |score| instead,
+        with one ``take``: four passes plus O(largest) work on the row. Both
+        return the same bits.
         """
         k, _ = _lattice_point(games_remaining, 0)
         scores = _score_row(scores)
         # the extremes as Python ints: np.abs and + wrap at a narrow dtype's edge
-        largest = max(int(scores.max(initial=0)), -int(scores.min(initial=0)))
+        least, most = int(scores.min(initial=0)), int(scores.max(initial=0))
+        largest = max(most, -least)
         band = _band(self.horizon, k, largest, 1)
+        flips = self._flips(k, band)
+        # the style at ``least`` is offense after an odd count of flips
+        below, stop = bisect.bisect_right(flips, least), bisect.bisect_right(flips, most)
+        if stop - below <= _MAX_MASK_FLIPS:
+            if below == stop:
+                return np.full(scores.shape, below % 2 == 1)
+            # Python ints compare in the scores' own dtype, and every flip in
+            # range lies in it
+            mask = scores < flips[below] if below % 2 else scores >= flips[below]
+            for x in flips[below + 1 : stop]:
+                mask ^= scores >= x
+            return mask
         row, start = self.rows[k - 1], self.starts[k]
         if len(row) <= 2 * band:
             # a window narrower than the band: the frozen sides' bits on its

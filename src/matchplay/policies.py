@@ -57,7 +57,6 @@ import functools
 import inspect
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -465,7 +464,8 @@ def _scaled_probs(style) -> tuple[int, int, int]:
     units = []
     for p in (style.win, style.draw, style.loss):
         u = round(p * _ORACLE_SCALE)
-        if float(Fraction(u, _ORACLE_SCALE)) != p:
+        # int / int is the float nearest the exact quotient
+        if u / _ORACLE_SCALE != p:
             raise InvalidOracleInput(
                 f"probability {p!r} is not an exact multiple of 1e-6; "
                 "the enumeration oracle needs short decimal inputs"
@@ -542,7 +542,8 @@ def brute_force_optimal(spec: MatchSpec, n_games: int) -> float:
                 best = value
         return best
 
-    return float(Fraction(best_from(0, {0: 1}), scale_pow[n]))
+    # int / int is the float nearest the exact quotient, so the optimum is correctly rounded
+    return best_from(0, {0: 1}) / scale_pow[n]
 
 
 class IdentityReport(NamedTuple):

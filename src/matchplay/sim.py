@@ -33,9 +33,12 @@ two styles' outcomes with boolean algebra, ``(mask & off) | (def & ~mask)``:
 a comparison or a boolean ``&`` costs a few microseconds on a
 20,000-sample row, where a ``np.where`` on a random mask costs over a
 hundred. A row the policy plays in one style, returned as a plain bool,
-compares the words against that style's two thresholds alone. The policy
-reads the live scores through one read-only view, made once per call, so
-a policy that writes to its row raises rather than moving the samples.
+compares the words against that style's two thresholds alone. A solved
+table's mask comes from ``PolicyTable.offense_mask``: one comparison of the
+scores per style flip between their smallest and largest value, or a lookup
+and ``take`` for a row with many flips, with the same bits. The policy reads
+the live scores through one read-only view, made once per call, so a policy
+that writes to its row raises rather than moving the samples.
 
 ``simulate_match`` plays sample 0 of these rounds, so one match and
 ``estimate_gain`` follow one outcome rule. Its key is an integer seed in

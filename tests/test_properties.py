@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchplay import (
+    Action,
     MatchSpec,
     brute_force_optimal,
     cat_plus_policy,
@@ -39,6 +41,7 @@ from matchplay import (
     solve,
     table_policy,
 )
+from matchplay import dp
 from matchplay.analytic import _BLOCK_STAGES as BLOCK
 from matchplay.analytic import walk
 from matchplay.dp import _bellman_sweep
@@ -116,6 +119,26 @@ def sum_specs(draw):
         share = draw(st.floats(0.55, 0.95) if wins else st.floats(0.05, 0.45))
         win = (1.0 - d) * share
         side = draw(st.sampled_from((-1, 0, 1)))
+        probs += _with_sum(win, 1.0 - d - win, side, draw(st.sampled_from((0.0, 4e-13))))
+    return MatchSpec.from_probs(*probs)
+
+
+@st.composite
+def weak_specs(draw):
+    """Specs whose styles both lose more often than they win, sure-draw defenses mixed in.
+
+    Each style sums to 1 or lies an ulp or 4e-13 to either side of it, as in
+    ``sum_specs``, so the frozen cells' policy bits, set by comparing the
+    sums, vary from spec to spec.
+    """
+    # a draw probability of 0 would take the ulp steps of _with_sum through the subnormals
+    pd = draw(st.floats(1e-3, 0.3))
+    qd = 1.0 if draw(st.booleans()) else draw(st.floats(pd, 1.0))
+    probs = []
+    for d in (pd, qd):
+        win = (1.0 - d) * draw(st.floats(0.0, 0.5, exclude_max=True))
+        # a sure draw cannot rise above 1
+        side = draw(st.sampled_from((-1, 0) if d == 1.0 else (-1, 0, 1)))
         probs += _with_sum(win, 1.0 - d - win, side, draw(st.sampled_from((0.0, 4e-13))))
     return MatchSpec.from_probs(*probs)
 
@@ -324,3 +347,36 @@ def test_monte_carlo_signs_match_the_scalar_replay_byte_for_byte(spec, n, seed, 
         want = reference_final_signs(spec, policy, n, samples, seed, offset)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+# the sure-draw defense's solved rows alternate: at N = 60 the middle stages
+# hold more flips than offense_mask reads by comparisons, so both paths run
+SURE_DRAW = MatchSpec.from_probs(0.45, 0.0, 0.55, 0.0, 1.0, 0.0)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=12)
+@example(spec=SURE_DRAW, n=60, dtype=np.int8, seed=0)
+@given(
+    spec=weak_specs(),
+    n=st.integers(1, 300),
+    dtype=st.sampled_from((np.int8, np.uint8, np.int64)),
+    seed=st.integers(0, 2**32),
+)
+def test_offense_masks_equal_the_scalar_action_on_either_path(spec, n, dtype, seed):
+    table = solve(spec, n).policy
+    info = np.iinfo(dtype)
+    # every score of the match that the dtype holds
+    every = np.arange(max(-n, int(info.min)), min(n, int(info.max)) + 1)
+    rng = np.random.default_rng(seed)
+    for k in range(1, n + 1):
+        want = np.array([table.action(k, int(x)) is Action.OFF for x in every])
+        past_band = np.abs(every) > min(k, n - k)
+        one = rng.integers(len(every), size=1)
+        subset = rng.random(len(every)) < rng.random()
+        for pick in (one[:0], one, slice(None), subset, past_band):
+            scores = every[pick].astype(dtype)
+            got = table.offense_mask(k, scores)
+            with mock.patch.object(dp, "_MAX_MASK_FLIPS", -1):
+                lookup = table.offense_mask(k, scores)
+            assert got.dtype == lookup.dtype == np.bool_
+            assert got.tolist() == lookup.tolist() == want[pick].tolist()

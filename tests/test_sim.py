@@ -248,6 +248,18 @@ print(main(["simulate", *flags, "--horizon", "2", "--policy", "off", "--samples"
                     assert got.dtype == want.dtype
                     assert got.tobytes() == want.tobytes(), (policy, offset)
 
+    def test_a_table_read_on_both_mask_paths_replays_exactly(self):
+        # the sure-draw defense's solved rows alternate: here the early and
+        # the last rounds read at most 14 style flips between the least and the
+        # largest score present, by comparisons, and the middle ones up to 19,
+        # by a lookup
+        spec = make_spec(0.45, 0.0, 0.55, 0.0, 1.0, 0.0)
+        n, count = 60, 200
+        table = table_policy(solve(spec, n).policy)
+        want = reference_final_signs(spec, table, n, count, 7)
+        assert _final_signs(spec, table, n, count, seed=7).tobytes() == want.tobytes()
+        assert estimate_gain(spec, table, n, count, seed=7).mean == int(want.sum()) / count
+
     @pytest.mark.parametrize("n", [127, 128])
     def test_scores_reaching_the_int8_edge_replay_exactly(self, n):
         # up to 127 games the scores are int8; a sure win or loss reaches

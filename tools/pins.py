@@ -29,8 +29,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 _PRELUDE = """
 import contextlib, hashlib, io, resource
-from matchplay import analytic, cli, dp, policies, sim, verify
+from matchplay import analytic, cli, core, dp, policies, sim, verify
 CHESS, GRID4 = verify.CHESS, verify.SPEC_GRID[4]
+SURE_DRAW = core.MatchSpec.from_probs(0.45, 0.0, 0.55, 0.0, 1.0, 0.0)
 
 def sha256(*arrays):
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
@@ -113,6 +114,12 @@ PINS = (
         "repr(sim.estimate_gain(CHESS, policies.cat_policy(), 16, 2_000_000, 5))",
         "SimEstimate(mean=-0.1416715, std_error=0.0006341530131749727, samples=2000000, seed=5)",
         120),
+    # the sure-draw defense's solved rows alternate, so the table's offense
+    # masks read past dozens of style flips; tier-1 replays them only to N = 60
+    Pin("estimate_gain SURE_DRAW N=1000",
+        "repr(sim.estimate_gain(SURE_DRAW, policies.table_policy(dp.solve(SURE_DRAW, 1000).policy),"
+        " 1000, 20_000, 5))",
+        "SimEstimate(mean=0.6306, std_error=0.005488049556481494, samples=20000, seed=5)"),
 )
 
 
