@@ -30,8 +30,8 @@ calls per block rather than two per stage. The protect-the-lead curves in
 ``policies`` cannot: their band grows by a cell on each side every stage,
 and neither a segmented ``np.add.reduceat`` nor a tail sum shared by the two
 rules keeps the pairwise summation order, and so the bits, of a per-stage
-sum; they take each stage's two sums directly instead, with no guard per
-call.
+sum; instead, one reduce along the rows of a 2-D view takes each stage's
+four sums, both rules above and below 0, with no guard per call.
 
 The long-match limits (``hitting_probability``, ``cat_limit``,
 ``optimal_limit`` and their ``Regime`` and ``AsymptoticVerdict`` types) are
@@ -199,6 +199,8 @@ def walk(n: int, offense: StyleDistribution, defense: StyleDistribution, rule, f
     # yielded views of each layer are made once
     *sets, tmp = np.zeros((3, (2 * n + 3) * count))
     yielded = [[row[count + i : (2 * n + 2) * count : count] for i, _ in layers] for row in sets]
+    # the rows as Python floats, for the one cell a flagged stage moves
+    scalar_rows = [memoryview(row) for row in sets]
     cells = np.zeros((3, (2 * n + 3) * count))  # win, draw and loss at their source cells
     slots = [cells[:, i::count] for i, _ in layers]
     held = [None] * count  # the bool whose style fills each layer's slots, None after a mask
@@ -228,7 +230,7 @@ def walk(n: int, offense: StyleDistribution, defense: StyleDistribution, rule, f
             if flagged:
                 # a never-led path can only reach +1 from 0, so one cell moves
                 # layers: from index 0 of score +1's pair to index 1
-                row = sets[(played + 1) % 2]
+                row = scalar_rows[(played + 1) % 2]
                 row[2 * c + 3] += row[2 * c + 2]
                 row[2 * c + 2] = 0.0
             yield yielded[(played + 1) % 2]

@@ -389,14 +389,19 @@ def lead_policy_curves(spec: MatchSpec, n_max: int) -> tuple[np.ndarray, np.ndar
     yields every horizon's gain. The refined rule differs from it only when
     the last game starts level, and the stencil is linear, so its
     horizon-(s+1) mass is the plain stage-(s+1) mass except at scores -1, 0
-    and +1. Those three cells are recomputed from the stage-s mass; no second
+    and +1. Score 0 is in neither of ``sign_expectation``'s sums, so only
+    the cells at -1 and +1 are recomputed from the stage-s mass; no second
     pass runs.
 
-    Each stage adds its two layers, strided views of the walk's interleaved
-    row, into one preallocated contiguous row, and its gains are
-    ``sign_expectation``'s two sums, taken directly: the band is exactly the
-    horizon's whole row, so the sums have the per-horizon lengths and bits.
-    Both curves are clamped to [-1, 1] once at the end, which gives the
+    A stage of h games writes its two layers' sum at scores +1..+h, and at
+    -1..-h through a reversed view, into rows 0 and 1 of a (4, n_max) block
+    made once per call. One slice copy makes rows 2 and 3, and the refined
+    rule's +1 and -1 cells overwrite their first cells, through a
+    memoryview. One ``np.add.reduce`` along the rows of ``block[:, :h]``
+    then takes the four sums: the band is exactly the horizon's whole row,
+    and a 2-D reduce groups each row as that row reduced alone, so the sums
+    have the per-horizon lengths and bits. The gains are collected in lists
+    and each curve is clamped to [-1, 1] once at the end, which gives the
     values of clamping each gain. The tests pin both curves bit for bit
     against evaluating each horizon separately.
     """
@@ -405,10 +410,10 @@ def lead_policy_curves(spec: MatchSpec, n_max: int) -> tuple[np.ndarray, np.ndar
     off, dfn = spec.offense, spec.defense
     final = off if cat_plus_policy(spec).final_offense else dfn
     coefs = [(style.win, style.draw, style.loss) for style in (off, dfn, final)]
-    cat_gains, catplus_gains = np.empty(n), np.empty(n)
-    # a stage's band mass starts at this row's base, as it does in the fresh
-    # row that exact_policy_gain sums: the sums see the same memory layout
-    scratch = np.empty(2 * n + 1)
+    cat_gains, catplus_gains = [], []
+    # plain above 0, plain below 0 mirrored, refined above, refined below
+    block, sums = np.empty((4, n)), np.empty(4)
+    flat, add, reduce = memoryview(block.reshape(-1)), np.add, np.add.reduce
     # each layer's five cells at scores -2..2; past a layer's ends no mass
     pad = [0.0] * max(0, 2 - n)
     near = slice(n - 2 + len(pad), n + 3 - len(pad))
@@ -416,36 +421,36 @@ def lead_policy_curves(spec: MatchSpec, n_max: int) -> tuple[np.ndarray, np.ndar
     not_led, led = next(walk)
     for played in range(1, n + 1):
         cells = pad + not_led[near].tolist() + pad, pad + led[near].tolist() + pad
-        level_finish = _level_finish(*cells, *coefs)
+        minus_one, plus_one = _level_finish(*cells, *coefs)
         not_led, led = next(walk)
-        band = slice(n - played, n + played + 1)
-        mass = scratch[: 2 * played + 1]
-        np.add(not_led[band], led[band], out=mass)
-        above, below = mass[played + 1 :], mass[played - 1 :: -1]
-        cat_gains[played - 1] = np.add.reduce(above) - np.add.reduce(below)
-        mass[played - 1], mass[played], mass[played + 1] = level_finish
-        catplus_gains[played - 1] = np.add.reduce(above) - np.add.reduce(below)
+        rows = block[:, :played]
+        add(not_led[n + 1 : n + played + 1], led[n + 1 : n + played + 1], rows[0])
+        add(not_led[n - played : n], led[n - played : n], rows[1, ::-1])
+        rows[2:] = rows[:2]
+        flat[2 * n], flat[3 * n] = plus_one, minus_one
+        reduce(rows, 1, None, sums)
+        plain_above, plain_below, refined_above, refined_below = sums.tolist()
+        cat_gains.append(plain_above - plain_below)
+        catplus_gains.append(refined_above - refined_below)
     # rounding can carry a sure result an ulp past +-1
-    np.clip(cat_gains, -1.0, 1.0, out=cat_gains)
-    np.clip(catplus_gains, -1.0, 1.0, out=catplus_gains)
-    return cat_gains, catplus_gains
+    return np.clip(cat_gains, -1.0, 1.0), np.clip(catplus_gains, -1.0, 1.0)
 
 
 def _level_finish(not_led: list, led: list, off: tuple, dfn: tuple, final: tuple) -> tuple:
-    """Mass at scores -1, 0, +1 after a last game where score 0 plays ``final``.
+    """Mass at scores -1 and +1 after a last game where score 0 plays ``final``.
 
     ``not_led`` and ``led`` hold each layer's mass at scores -2..2; every
     other score plays ``off`` in the never-led layer and ``dfn`` in the led
     one, each a (win, draw, loss) tuple. This is ``analytic.stencil``, with
-    its association, in Python floats, and the two layers' sum: on five
+    its association, in Python floats, and the two layers' sum: on two
     cells the scalar arithmetic is faster than five numpy calls per layer,
-    and a test pins its bits against the kernel.
+    and a test pins its bits against the kernel. Score 0's cell is not
+    computed, as no gain reads it.
     """
     (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = not_led, led
     (pw, pd, pl), (qw, qd, ql), (fw, fd, fl) = off, dfn, final
     return (
         ((pw * a0 + fl * a2) + pd * a1) + ((qw * b0 + fl * b2) + qd * b1),
-        ((pw * a1 + pl * a3) + fd * a2) + ((qw * b1 + ql * b3) + fd * b2),
         ((fw * a2 + pl * a4) + pd * a3) + ((fw * b2 + ql * b4) + qd * b3),
     )
 

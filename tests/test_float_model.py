@@ -3,8 +3,9 @@
 The goldens, the digests in ``tools/pins.py`` and the byte-for-byte tests
 assume two numpy behaviours: ``np.add.reduce`` on float64 is the pairwise
 sum that ``conftest.pairwise_sum`` models, on C-contiguous rows of a 2-D
-block and on reversed views too, and each elementwise ufunc call rounds once,
-so ``analytic.stencil`` gives the bits of its expression in Python floats.
+block, on row-strided 2-D views and on reversed views too, and each
+elementwise ufunc call rounds once, so ``analytic.stencil`` gives the bits
+of its expression in Python floats.
 A failure here names the assumption that broke, and the numpy version.
 """
 
@@ -39,6 +40,14 @@ def test_add_reduce_is_the_pairwise_sum():
             assert [float(np.add.reduce(row)) for row in view] == want, f"{assumption}: rows of {n}"
             rows = np.add.reduce(view, axis=1).tolist()
             assert rows == want, f"{assumption}: along the rows of a {view.shape} block"
+        # the protect-the-lead read-out: the first n cells of each row of a
+        # (4, W) block, W odd and past n, so every other row starts off the
+        # block's 16-byte alignment, reduced into an output it owns
+        block = spread_values(rng, (4, n + 3 - n % 2))
+        out = np.empty(4)
+        np.add.reduce(block[:, :n], 1, None, out)
+        want = [pairwise_sum(row[:n].tolist()) for row in block]
+        assert out.tolist() == want, f"{assumption}: along rows of {n} in a {block.shape} block"
 
 
 def test_stencil_rounds_each_product_and_sum_once():

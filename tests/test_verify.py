@@ -196,6 +196,16 @@ class TestCorruption:
         # the detail is still the drift, which stays tiny: only the sign check fails
         assert float(checks["mass_conservation"].detail) <= verify.EXACT_TOL
 
+    def test_fair_defense_gain_just_below_zero_fails_the_floor(self, monkeypatch):
+        # the README's floor is exactly 0.0, so a gain of -1e-15 fails it
+        # although it lies within EXACT_TOL
+        check = verify._check_fair_defense_floor(np.random.default_rng(0), 4)
+        assert check.passed and check.detail == "0"
+        real = verify._optimal_gains
+        monkeypatch.setattr(verify, "_optimal_gains", lambda spec, n: real(spec, n) - 1e-15)
+        check = verify._check_fair_defense_floor(np.random.default_rng(0), 4)
+        assert not check.passed and float(check.detail) == -1e-15
+
     def test_broken_convolution_is_caught_by_name(self, monkeypatch):
         import matchplay.analytic
 
